@@ -1,27 +1,25 @@
 """Vectorized time-of-flight evaluation for large (source, target) batches.
 
-Delay tables and beamforming grids need millions of two-point solves; this
-module evaluates them with array arithmetic instead of per-pair Python
-loops.  Three regimes:
-
-  * all layer speeds equal            -> straight chords, closed form;
-  * two layers split by a flat plane  -> the single Snell residual is
-    strictly monotone in the crossing coordinate, solved by a bracketed
-    vectorized Newton/bisection iteration;
-  * anything else                     -> per-pair scalar :func:`goatsolve.solve`.
-
-The batched paths solve the same equations to the same tolerance as the
-scalar solver; a dedicated test pins batch-vs-scalar agreement.
+Targets in the first layer, and every target of a medium whose layers share
+one speed, get the exact straight chord.  The others are grouped by layer
+and solved in blocks of rows by :func:`goatsolve.tof_rows`, which re-verifies
+every row as the scalar solver does; only rows that fail go to the scalar
+:func:`goatsolve.solve`, so batch and scalar results agree bit for bit.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 
 import numpy as np
 
-from .goatsolve import SolverOptions, solve
-from .medium import Constant, Medium, Point2
+from .errors import GoatFocusError
+from .goatsolve import SolverOptions, solve, tof_rows
+from .medium import Medium, Point2
+
+# Rows per row-Newton call; bounds the size of its working arrays.
+_BLOCK_ROWS = 16384
 
 # Worker cap for per-source map evaluation; set from the CLI --threads flag.
 _max_workers = 1
@@ -32,68 +30,6 @@ def set_max_workers(n: int | None):
     _max_workers = max(1, int(n)) if n else 1
 
 
-def _is_flat_two_layer(medium: Medium) -> bool:
-    return medium.num_layers == 2 and isinstance(medium.boundaries[0], Constant)
-
-
-def _is_homogeneous(medium: Medium) -> bool:
-    return all(c == medium.speeds[0] for c in medium.speeds)
-
-
-def _flat2_tof(medium: Medium, src: Point2, tx, tz, opts: SolverOptions):
-    """Times of flight from one source above a flat interface to target
-    arrays (tx, tz): straight ray inside the first layer, refracted two
-    segment path below it.  Safeguarded Newton on the scalar Snell residual
-    with the bracket [min(x), max(x)] kept valid throughout."""
-    c1, c2 = medium.speeds
-    cmax = max(c1, c2)
-    d = medium.boundaries[0].d
-    tx = np.asarray(tx, dtype=float)
-    tz = np.asarray(tz, dtype=float)
-    out = np.empty_like(tx)
-
-    above = tz <= d + 1e-12
-    if np.any(above):
-        out[above] = np.hypot(tx[above] - src.x, tz[above] - src.z) / c1
-
-    below = ~above
-    if not np.any(below):
-        return out
-    bx = tx[below]
-    bz = tz[below]
-    h1 = d - src.z
-    h2 = bz - d
-    lo = np.minimum(src.x, bx)
-    hi = np.maximum(src.x, bx)
-    # Straight-chord crossing as start.
-    x = src.x + (bx - src.x) * (h1 / (bz - src.z))
-
-    def residual(xc):
-        dx1 = xc - src.x
-        dx2 = bx - xc
-        L1 = np.hypot(dx1, h1)
-        L2 = np.hypot(dx2, h2)
-        F = (c2 * dx1 / L1 - c1 * dx2 / L2) / cmax
-        dF = (c2 * h1 * h1 / L1**3 + c1 * h2 * h2 / L2**3) / cmax
-        return F, dF
-
-    for _ in range(60):
-        F, dF = residual(x)
-        if np.all(np.abs(F) <= opts.tol_residual):
-            break
-        # Maintain the bracket: the residual is strictly increasing in x.
-        lo = np.where(F < 0, np.maximum(lo, x), lo)
-        hi = np.where(F > 0, np.minimum(hi, x), hi)
-        step = -F / dF
-        xn = x + step
-        bad = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-        x = np.where(bad, 0.5 * (lo + hi), xn)
-    L1 = np.hypot(x - src.x, h1)
-    L2 = np.hypot(bx - x, h2)
-    out[below] = L1 / c1 + L2 / c2
-    return out
-
-
 def tof_batch(medium: Medium, src: Point2, tx, tz,
               opts: SolverOptions = SolverOptions()):
     """Times of flight from ``src`` to every target (tx[i], tz[i]).
@@ -101,31 +37,34 @@ def tof_batch(medium: Medium, src: Point2, tx, tz,
     Targets the solver cannot reach yield NaN (callers treat them as
     failures and exclude them, never substitute).
     """
-    tx = np.asarray(tx, dtype=float)
-    tz = np.asarray(tz, dtype=float)
-    if _is_homogeneous(medium):
-        return np.hypot(tx - src.x, tz - src.z) / medium.speeds[0]
-    if _is_flat_two_layer(medium):
-        return _flat2_tof(medium, src, tx, tz, opts)
-    out = np.empty(tx.shape, dtype=float)
-    flat_x = tx.ravel()
-    flat_z = tz.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_x.size):
-        try:
-            flat_out[i] = solve(medium, src, Point2(flat_x[i], flat_z[i]), opts).tof
-        except Exception:
-            flat_out[i] = np.nan
-    return out
+    shape = np.shape(tx)
+    flat_x = np.asarray(tx, dtype=float).ravel()
+    flat_z = np.asarray(tz, dtype=float).ravel()
+    out = np.hypot(flat_x - src.x, flat_z - src.z) / medium.speeds[0]
+    if len(set(medium.speeds)) == 1:
+        return out.reshape(shape)
+    layers = medium.layers_of(flat_x, flat_z)
+    for k in range(2, medium.num_layers + 1):
+        idx = np.flatnonzero(layers == k)
+        for start in range(0, idx.size, _BLOCK_ROWS):
+            rows = idx[start:start + _BLOCK_ROWS]
+            ends = np.column_stack((np.full((rows.size, 2), (src.x, src.z)),
+                                    flat_x[rows], flat_z[rows]))
+            out[rows], ok = tof_rows(medium.truncated(k), ends, opts)
+            for i in rows[~ok]:
+                with suppress(GoatFocusError):  # a failed row keeps its NaN
+                    out[i] = solve(medium, src,
+                                   Point2(flat_x[i], flat_z[i]), opts).tof
+    return out.reshape(shape)
 
 
 def tof_maps(medium: Medium, sources, tx, tz,
              opts: SolverOptions = SolverOptions()) -> np.ndarray:
     """Stacked ToF maps, one per source: shape (len(sources),) + tx.shape.
 
-    Sources are independent; with a worker cap above one they are evaluated
-    on a thread pool writing to disjoint slots (bit-identical to the serial
-    order regardless of worker count).
+    Sources are independent; they are evaluated on a pool of up to the
+    worker cap threads writing to disjoint slots (bit-identical to the
+    serial order regardless of worker count).
     """
     sources = list(sources)
     out = np.empty((len(sources),) + np.asarray(tx).shape, dtype=float)
@@ -133,10 +72,6 @@ def tof_maps(medium: Medium, sources, tx, tz,
     def run(i):
         out[i] = tof_batch(medium, sources[i], tx, tz, opts)
 
-    if _max_workers > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=_max_workers) as pool:
-            list(pool.map(run, range(len(sources))))
-    else:
-        for i in range(len(sources)):
-            run(i)
+    with ThreadPoolExecutor(max_workers=_max_workers) as pool:
+        list(pool.map(run, range(len(sources))))
     return out

@@ -6,9 +6,9 @@ oracle (solver vs. brute-force minimal travel time), beamform (synthetic
 imaging run).  Every command is deterministic: identical scenario and flags
 produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 scenario/schema error, 3 solver non-convergence,
-4 physics error (total reflection, missed intersection, no bracket),
-5 I/O error.
+Exit codes: 0 success, 2 scenario/schema error or invalid flag value,
+3 solver non-convergence, 4 physics error (total reflection, missed
+intersection, no bracket), 5 I/O error.
 """
 
 from __future__ import annotations
@@ -129,6 +129,9 @@ def cmd_delays(args) -> int:
     scn = load(args.scenario)
     if scn.array is None:
         raise ScenarioError("delay tables need an array block in the scenario")
+    if args.tx is not None and not 0 <= args.tx < len(scn.array):
+        raise ScenarioError(f"--tx {args.tx} is not an element index "
+                            f"(0..{len(scn.array) - 1})")
     table = build_delay_table(scn.array, scn.foci, scn.medium, args.engine,
                               args.kind, scn.solver,
                               transmit_element=args.tx)
@@ -225,6 +228,11 @@ def cmd_levelset(args) -> int:
     except ValueError:
         raise ScenarioError(f"cannot parse --seed {args.seed!r}") from None
     seed = Point2(sx * scn.length_scale, sz * scn.length_scale)
+    if not p0.z < seed.z < p2.z:
+        raise ScenarioError("--seed must lie strictly between the source and "
+                            "focus depths")
+    if args.steps < 1:
+        raise ScenarioError("--steps must be at least 1")
     curve = tof_level_set(scn.medium, p0, p2, seed, arc_steps=args.steps)
     resid = oval_identity_residual(scn.medium, p0, p2, curve)
     lines = [f"# {scn.provenance}",
@@ -245,6 +253,8 @@ def cmd_oracle(args) -> int:
     scn = load(args.scenario)
     p0 = _pick_source(args, scn)
     pN = _pick_focus(args, scn)
+    if args.grid < 64:
+        raise ScenarioError("--grid must be at least 64")
     sol = solve(scn.medium, p0, pN, scn.solver)
     res = fermat_oracle(scn.medium, p0, pN, grid=args.grid, refine_iters=60)
     diff = abs(sol.tof - res.tof)
@@ -278,7 +288,7 @@ def cmd_beamform(args) -> int:
         duration = 2.0 * float(np.nanmax(tofs)) + 2 * cut - t0 + 16 / fs
         channels = synthesize_channels(scn.medium, scn.array,
                                        scn.imaging.scatterers, scn.pulse, fs,
-                                       duration, t0, scn.solver)
+                                       duration, t0, scn.solver, tofs=tofs)
         write_channels(channels, ch_path, provenance=scn.provenance)
     # Always beamform from the cached float32 data so that cached and fresh
     # runs produce byte-identical artifacts.
@@ -319,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=os.cpu_count(),
                         help="worker cap for batched evaluations "
                              "(results are independent of this)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized test generators (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):

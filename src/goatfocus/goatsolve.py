@@ -9,31 +9,27 @@ a tridiagonal Jacobian and is solved by damped Newton from the straight-ray
 guess, with a propagation-based shooting fallback.  After convergence the
 full variable set is reconstructed from the crossings alone and every
 equation group is re-verified; nothing is trusted from solver state.
+
+The Newton works on rows, one two-point problem each, with a Thomas sweep
+per row; a single solve is the one-row case, so :func:`solve` and the
+batched :func:`tof_rows` share one implementation.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     DegenerateSegmentError,
+    DomainError,
     NoBracketError,
     NoIntersectionError,
     NonConvergenceError,
     TotalReflectionError,
 )
-from .medium import (
-    Constant,
-    Linear,
-    Medium,
-    Point2,
-    boundary_curvature,
-    boundary_eval,
-    boundary_slope,
-)
+from .medium import _DOMAIN_SLACK, Constant, Linear, Medium, Point2
 from .raytrace import MIN_SEGMENT, RayPath, propagate
 
 _SHOOTING_CANDIDATES = 64
@@ -65,24 +61,89 @@ class GoatSolution:
     multiple_roots: bool = False
 
 
-def _reconstruct(medium: Medium, p0: Point2, pN: Point2, xs):
-    """Point arrays (X, Z) of the full chain p0, crossings, pN."""
-    xs = np.asarray(xs, dtype=float)
-    X = np.concatenate(([p0.x], xs, [pN.x]))
+def _ends(p0: Point2, pN: Point2) -> np.ndarray:
+    """One row of endpoints (x0, z0, xN, zN): the scalar API's only row."""
+    return np.array([[p0.x, p0.z, pN.x, pN.z]])
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _chain(medium: Medium, ends, xs):
+    """Chains ends[r, :2] -> crossings xs[r] -> ends[r, 2:], one per row.
+
+    Returns (dX, dZ, L, tau, sin_in, sin_out, F): segment components and
+    lengths (rows, K+1); slopes, sines and the Snell residuals
+    F_n = (c_{n+1} sin_in - c_n sin_out) / max(c) (rows, K), +inf on rows
+    with a degenerate segment.
+    """
+    X = np.column_stack((ends[:, 0], xs, ends[:, 2]))
     Z = np.empty_like(X)
-    Z[0], Z[-1] = p0.z, pN.z
+    Z[:, 0], Z[:, -1] = ends[:, 1], ends[:, 3]
+    tau = np.empty(np.shape(xs))
     for i, b in enumerate(medium.boundaries):
-        Z[i + 1] = boundary_eval(b, xs[i])
-    return X, Z
-
-
-def _segment_geometry(X, Z):
-    dX = np.diff(X)
-    dZ = np.diff(Z)
+        Z[:, i + 1] = b._eval(xs[:, i])
+        tau[:, i] = b._slope(xs[:, i])
+    dX, dZ = np.diff(X, axis=1), np.diff(Z, axis=1)
     L = np.hypot(dX, dZ)
-    if np.any(L < MIN_SEGMENT):
-        raise DegenerateSegmentError("consecutive path points coincide")
-    return dX, dZ, L
+    c = np.asarray(medium.speeds)
+    T = np.sqrt(1.0 + tau * tau)
+    sin_in = (dX[:, :-1] + tau * dZ[:, :-1]) / (T * L[:, :-1])
+    sin_out = (dX[:, 1:] + tau * dZ[:, 1:]) / (T * L[:, 1:])
+    F = (c[1:] * sin_in - c[:-1] * sin_out) / np.max(c)
+    F[np.any(L < MIN_SEGMENT, axis=1)] = np.inf
+    return dX, dZ, L, tau, sin_in, sin_out, F
+
+
+def _jacobian(medium: Medium, xs, chain):
+    """Analytic tridiagonal Jacobian of the residuals, row-wise: (sub, diag,
+    sup), each (rows, K), with sub[:, i] = dF_i/dx_{i-1} (sub[:, 0] = 0) and
+    sup[:, i] = dF_i/dx_{i+1} (sup[:, -1] = 0).  Boundary second derivatives
+    enter through the tangent-slope chain rule."""
+    dX, dZ, L, tau = chain[:4]
+    kap = np.column_stack([b._curvature(xs[:, i])
+                           for i, b in enumerate(medium.boundaries)])
+    c = np.asarray(medium.speeds)
+    cmax = np.max(c)
+    T = np.sqrt(1.0 + tau * tau)
+    dT = tau * kap / T
+    L_in, L_out = L[:, :-1], L[:, 1:]
+    A_in = dX[:, :-1] + tau * dZ[:, :-1]
+    A_out = dX[:, 1:] + tau * dZ[:, 1:]
+    # d sin_in / d x_i and d sin_out / d x_i.
+    dsin_in = (1.0 + tau * tau + kap * dZ[:, :-1] - A_in * dT / T
+               - A_in * (A_in / L_in) / L_in) / (T * L_in)
+    dsin_out = (-(1.0 + tau * tau) + kap * dZ[:, 1:] - A_out * dT / T
+                - A_out * (-A_out / L_out) / L_out) / (T * L_out)
+    diag = (c[1:] * dsin_in - c[:-1] * dsin_out) / cmax
+    # Neighbours i-1, i couple through the segment between their crossings.
+    t_up, t_dn = tau[:, :-1], tau[:, 1:]
+    dXm, dZm, Lm = dX[:, 1:-1], dZ[:, 1:-1], L[:, 1:-1]
+    sub = np.zeros_like(diag)
+    sup = np.zeros_like(diag)
+    dL = -(dXm + t_up * dZm) / Lm
+    sub[:, 1:] = c[2:] * ((-1.0 - t_dn * t_up - A_in[:, 1:] * dL / Lm)
+                          / (T[:, 1:] * Lm)) / cmax
+    dL = (dXm + t_dn * dZm) / Lm
+    sup[:, :-1] = -c[:-2] * ((1.0 + t_up * t_dn - A_out[:, :-1] * dL / Lm)
+                             / (T[:, :-1] * Lm)) / cmax
+    return sub, diag, sup
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _newton_step(medium: Medium, xs, chain):
+    """Newton correction -J^{-1} F of every row, by a Thomas sweep (no
+    pivoting); a singular system leaves non-finite entries in its row."""
+    sub, diag, sup = _jacobian(medium, xs, chain)
+    x = -chain[-1]
+    cp = np.empty_like(diag)
+    cp[:, 0] = sup[:, 0] / diag[:, 0]
+    x[:, 0] /= diag[:, 0]
+    for i in range(1, diag.shape[1]):
+        m = diag[:, i] - sub[:, i] * cp[:, i - 1]
+        cp[:, i] = sup[:, i] / m
+        x[:, i] = (x[:, i] - sub[:, i] * x[:, i - 1]) / m
+    for i in range(diag.shape[1] - 2, -1, -1):
+        x[:, i] -= cp[:, i] * x[:, i + 1]
+    return x
 
 
 def residuals(medium: Medium, p0: Point2, pN: Point2, xs) -> np.ndarray:
@@ -92,15 +153,10 @@ def residuals(medium: Medium, p0: Point2, pN: Point2, xs) -> np.ndarray:
     sines come from the segment/tangent projections at the reconstructed
     crossing points.
     """
-    xs = np.asarray(xs, dtype=float)
-    X, Z = _reconstruct(medium, p0, pN, xs)
-    dX, dZ, L = _segment_geometry(X, Z)
-    c = np.asarray(medium.speeds)
-    tau = np.array([boundary_slope(b, xs[i]) for i, b in enumerate(medium.boundaries)])
-    T = np.sqrt(1.0 + tau * tau)
-    sin_in = (dX[:-1] + tau * dZ[:-1]) / (T * L[:-1])
-    sin_out = (dX[1:] + tau * dZ[1:]) / (T * L[1:])
-    return (c[1:] * sin_in - c[:-1] * sin_out) / np.max(c)
+    F = _chain(medium, _ends(p0, pN), np.reshape(xs, (1, -1)))[-1][0]
+    if np.any(np.isinf(F)):
+        raise DegenerateSegmentError("consecutive path points coincide")
+    return F
 
 
 def residual_jacobian(medium: Medium, p0: Point2, pN: Point2, xs):
@@ -111,94 +167,142 @@ def residual_jacobian(medium: Medium, p0: Point2, pN: Point2, xs):
     second derivatives enter through the tangent-slope chain rule; straight
     boundaries contribute zero curvature.
     """
-    xs = np.asarray(xs, dtype=float)
-    K = xs.size
-    X, Z = _reconstruct(medium, p0, pN, xs)
-    dX, dZ, L = _segment_geometry(X, Z)
-    c = np.asarray(medium.speeds)
-    cmax = np.max(c)
-    tau = np.array([boundary_slope(b, xs[i]) for i, b in enumerate(medium.boundaries)])
-    kap = np.array([boundary_curvature(b, xs[i]) for i, b in enumerate(medium.boundaries)])
-    T = np.sqrt(1.0 + tau * tau)
-
-    A_in = dX[:-1] + tau * dZ[:-1]
-    A_out = dX[1:] + tau * dZ[1:]
-    sub = np.zeros(K)
-    diag = np.zeros(K)
-    sup = np.zeros(K)
-    for i in range(K):
-        Ti, taui, kapi = T[i], tau[i], kap[i]
-        dT = taui * kapi / Ti
-        # d sin_in / d x_i
-        dA = 1.0 + taui * taui + kapi * dZ[i]
-        dL = A_in[i] / L[i]
-        dsin_in_i = (dA - A_in[i] * dT / Ti - A_in[i] * dL / L[i]) / (Ti * L[i])
-        # d sin_out / d x_i
-        dA = -(1.0 + taui * taui) + kapi * dZ[i + 1]
-        dL = -A_out[i] / L[i + 1]
-        dsin_out_i = (dA - A_out[i] * dT / Ti - A_out[i] * dL / L[i + 1]) / (Ti * L[i + 1])
-        diag[i] = (c[i + 1] * dsin_in_i - c[i] * dsin_out_i) / cmax
-        if i > 0:
-            dA = -1.0 - taui * tau[i - 1]
-            dL = -(dX[i] + tau[i - 1] * dZ[i]) / L[i]
-            dsin_in_im1 = (dA - A_in[i] * dL / L[i]) / (Ti * L[i])
-            sub[i] = c[i + 1] * dsin_in_im1 / cmax
-        if i < K - 1:
-            dA = 1.0 + taui * tau[i + 1]
-            dL = (dX[i + 1] + tau[i + 1] * dZ[i + 1]) / L[i + 1]
-            dsin_out_ip1 = (dA - A_out[i] * dL / L[i + 1]) / (Ti * L[i + 1])
-            sup[i] = -c[i] * dsin_out_ip1 / cmax
-    return sub, diag, sup
+    xs = np.reshape(xs, (1, -1)).astype(float)
+    chain = _chain(medium, _ends(p0, pN), xs)
+    if np.any(np.isinf(chain[-1])):
+        raise DegenerateSegmentError("consecutive path points coincide")
+    return tuple(a[0] for a in _jacobian(medium, xs, chain))
 
 
-def _chord_crossing(curve, p0: Point2, pN: Point2, lo: float, hi: float) -> float:
-    """Lateral coordinate where the straight chord p0 -> pN crosses ``curve``."""
-    x0, z0, xN, zN = p0.x, p0.z, pN.x, pN.z
-    if isinstance(curve, Constant):
-        t = (curve.d - z0) / (zN - z0)
-    elif isinstance(curve, Linear):
-        denom = (zN - z0) - curve.k * (xN - x0)
-        t = (curve.k * x0 + curve.d - z0) / denom if abs(denom) > 1e-300 else -1.0
-    else:
-        def h(t):
-            return curve._eval(x0 + t * (xN - x0)) - (z0 + t * (zN - z0))
-        ha, hb = h(0.0), h(1.0)
-        if ha * hb > 0:
-            raise NoIntersectionError(
-                "straight chord does not cross the boundary", boundary_index=None)
-        a, b = 0.0, 1.0
-        scale = max(abs(zN - z0), abs(xN - x0))
-        while abs(h(0.5 * (a + b))) > 1e-13 and (b - a) * scale > 1e-16:
-            m = 0.5 * (a + b)
-            if ha * h(m) <= 0:
-                b = m
-            else:
-                a, ha = m, ha
-        t = 0.5 * (a + b)
-    if not (0.0 < t < 1.0):
-        raise NoIntersectionError(
-            "straight chord does not cross the boundary between the endpoints",
-            boundary_index=None)
-    x = x0 + t * (xN - x0)
-    if not (lo - 1e-12 <= x <= hi + 1e-12):
-        raise NoIntersectionError(
-            f"chord crossing x = {x:.6g} outside the lateral domain [{lo}, {hi}]",
-            boundary_index=None)
-    return x
+@np.errstate(divide="ignore", invalid="ignore")
+def _chord_rows(medium: Medium, ends):
+    """Crossings of each row's straight chord with every interface; NaN
+    where a chord misses the interface between its endpoints or inside the
+    lateral domain.  Curved interfaces are found by bisection on the chord
+    parameter t of h(t) = b(x(t)) - z(t)."""
+    x0, z0, xN, zN = ends.T
+    lo, hi = medium.domain
+    xs = np.empty((len(ends), medium.num_layers - 1))
+    for i, curve in enumerate(medium.boundaries):
+        if isinstance(curve, Constant):
+            t = (curve.d - z0) / (zN - z0)
+        elif isinstance(curve, Linear):
+            t = (curve.k * x0 + curve.d - z0) / ((zN - z0) - curve.k * (xN - x0))
+        else:
+            def h(t):
+                return curve._eval(x0 + t * (xN - x0)) - (z0 + t * (zN - z0))
+            a, b = np.zeros_like(x0), np.ones_like(x0)
+            ha, hb = h(a), h(b)
+            scale = np.maximum(np.abs(zN - z0), np.abs(xN - x0))
+            while True:
+                m = 0.5 * (a + b)
+                hm = h(m)
+                go = (np.abs(hm) > 1e-13) & ((b - a) * scale > 1e-16)
+                if not np.any(go):
+                    break
+                left = ha * hm <= 0
+                a, b = np.where(go & ~left, m, a), np.where(go & left, m, b)
+            t = np.where(ha * hb > 0, np.nan, 0.5 * (a + b))
+        x = x0 + t * (xN - x0)
+        xs[:, i] = np.where((0.0 < t) & (t < 1.0) & (lo - 1e-12 <= x)
+                            & (x <= hi + 1e-12), x, np.nan)
+    return xs
 
 
 def initial_guess_straight(medium: Medium, p0: Point2, pN: Point2) -> np.ndarray:
     """Crossings of the straight chord with every interface (refraction-free
     ray), used to start the Newton iteration."""
+    xs = _chord_rows(medium, _ends(p0, pN))[0]
+    if np.any(np.isnan(xs)):
+        i = int(np.argmax(np.isnan(xs)))
+        raise NoIntersectionError(
+            f"straight chord does not cross boundary {i + 1} between the "
+            f"endpoints inside the lateral domain {medium.domain}",
+            boundary_index=i + 1)
+    return xs
+
+
+def _newton_rows(medium: Medium, ends, xs, opts: SolverOptions):
+    """Damped Newton on every row at once, from the crossings ``xs``.
+
+    Each row stops on its own: at the residual tolerance, or when halving
+    its step ``max_backtracks`` times neither lowers the residual norm nor
+    keeps the crossings inside the domain.  Accepted steps lower the norm,
+    so the final crossings are the best iterate; rows starting from NaN (a
+    missed chord) never move.  Returns (xs, iterations).
+    """
+    lo, hi = medium.domain[0] + 1e-12, medium.domain[1] - 1e-12
+    xs = np.array(xs, dtype=float)
+    fn = np.max(np.abs(_chain(medium, ends, xs)[-1]), axis=1)
+    iterations = np.zeros(len(xs), dtype=int)
+    active = np.isfinite(fn)
+    for _ in range(opts.max_newton_iters):
+        active &= fn > opts.tol_residual
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        delta = _newton_step(medium, xs[rows], _chain(medium, ends[rows], xs[rows]))
+        iterations[rows] += 1
+        alpha = 1.0
+        for _bt in range(opts.max_backtracks + 1):
+            trial = xs[rows] + alpha * delta
+            inside = np.all((trial > lo) & (trial < hi), axis=1)
+            fnt = np.full(rows.size, np.inf)
+            if np.any(inside):
+                F = _chain(medium, ends[rows[inside]], trial[inside])[-1]
+                fnt[inside] = np.max(np.abs(F), axis=1)
+            better = fnt < fn[rows]
+            xs[rows[better]], fn[rows[better]] = trial[better], fnt[better]
+            rows, delta = rows[~better], delta[~better]
+            if rows.size == 0:
+                break
+            alpha *= 0.5
+        active[rows] = False
+    return xs, iterations
+
+
+def _verify_rows(medium: Medium, ends, xs, tol: float):
+    """Rebuild every row's chain from its crossings alone and re-check it.
+
+    Returns (failed, chain, implied, tof): ``failed`` is a (rows, 4) mask of
+    failed checks, namely a crossing outside the lateral domain, a degenerate
+    segment, an unresolved residual and total reflection (an implied
+    transmitted sine c_{n+1}/c_n sin_in beyond 1 + 1e-9).  A residual is
+    resolved at norm ``tol``, or when its Newton correction is below the
+    spacing of every crossing: within ~1e-9 m of an interface one such
+    spacing moves the residual by more than ``tol``.
+    """
+    chain = _chain(medium, ends, xs)
+    c = np.asarray(medium.speeds)
+    implied = c[1:] / c[:-1] * chain[4]
+    rnorm = np.max(np.abs(chain[-1]), axis=1)
+    unresolved = ~(rnorm <= tol)
+    r = np.flatnonzero(unresolved & np.isfinite(rnorm))
+    if r.size:
+        step = _newton_step(medium, xs[r], [a[r] for a in chain])
+        unresolved[r] = ~np.all(np.abs(step) <= np.spacing(np.abs(xs[r])), axis=1)
     lo, hi = medium.domain
-    out = np.empty(medium.num_layers - 1)
-    for i, b in enumerate(medium.boundaries):
-        try:
-            out[i] = _chord_crossing(b, p0, pN, lo, hi)
-        except NoIntersectionError as exc:
-            exc.boundary_index = i + 1
-            raise
-    return out
+    failed = np.column_stack((
+        np.any((xs < lo - _DOMAIN_SLACK) | (xs > hi + _DOMAIN_SLACK), axis=1),
+        np.any(chain[2] < MIN_SEGMENT, axis=1),
+        unresolved,
+        np.any(np.abs(implied) > 1.0 + 1e-9, axis=1)))
+    tof = chain[2][:, 0] / c[0]
+    for i in range(1, len(c)):  # left to right, like a scalar sum
+        tof = tof + chain[2][:, i] / c[i]
+    return failed, chain, implied, tof
+
+
+def tof_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
+    """Times of flight through ``medium`` for each row of ``ends`` =
+    (x0, z0, xN, zN), every focus below the last interface: row Newton from
+    the straight chords, then the checks of :func:`_verify_and_build`.
+    Returns (tof, ok); rows that fail a check carry NaN and ok False.
+    """
+    xs, _ = _newton_rows(medium, ends, _chord_rows(medium, ends), opts)
+    failed, _, _, tof = _verify_rows(medium, ends, xs, opts.tol_residual)
+    ok = ~np.any(failed, axis=1)
+    return np.where(ok, tof, np.nan), ok
 
 
 def _verify_and_build(medium, p0, pN, xs, iterations, method, opts,
@@ -206,34 +310,34 @@ def _verify_and_build(medium, p0, pN, xs, iterations, method, opts,
     """Reconstruct the full variable set from the crossings and re-check
     every equation group; package the result."""
     xs = np.asarray(xs, dtype=float)
-    X, Z = _reconstruct(medium, p0, pN, xs)
-    dX, dZ, L = _segment_geometry(X, Z)
-    c = medium.speeds
-    inc, refr, tang = [], [], []
-    for i, b in enumerate(medium.boundaries):
-        tau = boundary_slope(b, xs[i])
-        T = math.sqrt(1.0 + tau * tau)
-        s_in = (dX[i] + tau * dZ[i]) / (T * L[i])
-        s_out = (dX[i + 1] + tau * dZ[i + 1]) / (T * L[i + 1])
-        implied = (c[i + 1] / c[i]) * s_in
-        if abs(implied) > 1.0 + 1e-9:
-            raise TotalReflectionError(
-                f"reconstructed crossing {i + 1} implies |sin| = {abs(implied):.6g}",
-                ratio=implied, boundary_index=i + 1)
-        inc.append(math.asin(min(1.0, max(-1.0, s_in))))
-        refr.append(math.asin(min(1.0, max(-1.0, s_out))))
-        tang.append(math.atan(tau))
-    res = residuals(medium, p0, pN, xs)
-    rnorm = float(np.max(np.abs(res))) if res.size else 0.0
-    if rnorm > opts.tol_residual:
+    failed, chain, implied, tof = _verify_rows(
+        medium, _ends(p0, pN), xs.reshape(1, -1), opts.tol_residual)
+    outside, degenerate, unresolved, reflected = failed[0]
+    _, _, L, tau, sin_in, sin_out, F = (a[0] for a in chain)
+    rnorm = float(np.max(np.abs(F)))
+    if outside:
+        raise DomainError(f"crossings {xs} outside the domain {medium.domain}")
+    if degenerate:
+        raise DegenerateSegmentError("consecutive path points coincide")
+    if unresolved:
         raise NonConvergenceError(
-            f"re-verified residual {rnorm:.3e} exceeds tolerance "
-            f"{opts.tol_residual:.3e}", best_xs=xs, best_residual=rnorm,
-            iterations=iterations)
+            f"re-verified residual {rnorm:.3e} after {iterations} iterations "
+            f"exceeds tolerance {opts.tol_residual:.3e}", best_xs=xs,
+            best_residual=rnorm, iterations=iterations)
+    if reflected:
+        i = int(np.argmax(np.abs(implied[0]) > 1.0 + 1e-9))
+        raise TotalReflectionError(
+            f"reconstructed crossing {i + 1} implies |sin| = "
+            f"{abs(implied[0, i]):.6g}", ratio=float(implied[0, i]),
+            boundary_index=i + 1)
+    X = (p0.x, *xs, pN.x)
+    Z = (p0.z, *(b._eval(x) for b, x in zip(medium.boundaries, xs)), pN.z)
     points = tuple(Point2(float(x), float(z)) for x, z in zip(X, Z))
-    tofs = tuple(float(L[i] / c[i]) for i in range(len(c)))
-    path = RayPath(points, tuple(inc), tuple(refr), tuple(tang), tofs, sum(tofs))
-    return GoatSolution(tuple(float(x) for x in xs), path, path.tof_total,
+    path = RayPath(points, tuple(np.arcsin(np.clip(sin_in, -1.0, 1.0)).tolist()),
+                   tuple(np.arcsin(np.clip(sin_out, -1.0, 1.0)).tolist()),
+                   tuple(np.arctan(tau).tolist()),
+                   tuple((L / np.asarray(medium.speeds)).tolist()), float(tof[0]))
+    return GoatSolution(tuple(xs.tolist()), path, path.tof_total,
                         iterations, rnorm, method, multiple_roots)
 
 
@@ -246,52 +350,11 @@ def solve_newton(medium: Medium, p0: Point2, pN: Point2,
     while the residual norm fails to decrease or a crossing would leave the
     lateral domain.  Raises NonConvergenceError carrying the best iterate.
     """
-    lo, hi = medium.domain
-    margin = 1e-12
-    xs = np.array(initial_guess_straight(medium, p0, pN) if x0 is None else x0,
-                  dtype=float)
-    F = residuals(medium, p0, pN, xs)
-    fn = float(np.max(np.abs(F))) if F.size else 0.0
-    best_xs, best_fn = xs.copy(), fn
-    iterations = 0
-    for _ in range(opts.max_newton_iters):
-        if fn <= opts.tol_residual:
-            return _verify_and_build(medium, p0, pN, xs, iterations, "newton", opts)
-        sub, diag, sup = residual_jacobian(medium, p0, pN, xs)
-        K = xs.size
-        J = np.diag(diag)
-        if K > 1:
-            J += np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            break
-        alpha = 1.0
-        accepted = False
-        for _bt in range(opts.max_backtracks + 1):
-            trial = xs + alpha * delta
-            if np.all(trial > lo + margin) and np.all(trial < hi - margin):
-                try:
-                    Ft = residuals(medium, p0, pN, trial)
-                except DegenerateSegmentError:
-                    Ft = None
-                if Ft is not None:
-                    fnt = float(np.max(np.abs(Ft)))
-                    if fnt < fn:
-                        xs, F, fn = trial, Ft, fnt
-                        accepted = True
-                        break
-            alpha *= 0.5
-        iterations += 1
-        if not accepted:
-            break
-        if fn < best_fn:
-            best_xs, best_fn = xs.copy(), fn
-    if fn <= opts.tol_residual:
-        return _verify_and_build(medium, p0, pN, xs, iterations, "newton", opts)
-    raise NonConvergenceError(
-        f"Newton stalled after {iterations} iterations at residual {best_fn:.3e}",
-        best_xs=best_xs, best_residual=best_fn, iterations=iterations)
+    xs = initial_guess_straight(medium, p0, pN) if x0 is None else x0
+    xs, iterations = _newton_rows(medium, _ends(p0, pN),
+                                  np.reshape(xs, (1, -1)), opts)
+    return _verify_and_build(medium, p0, pN, xs[0], int(iterations[0]),
+                             "newton", opts)
 
 
 def _shooting_scan(medium: Medium, p0: Point2, pN: Point2):
@@ -323,7 +386,12 @@ def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
     If several roots exist the minimal-ToF one is returned and flagged.
     """
     def fp(x):
-        return propagate(medium, p0, x, pN.z).points[-1].x - pN.x
+        """Terminal miss of the ray launched through x; None if it is lost."""
+        try:
+            return propagate(medium, p0, x, pN.z).points[-1].x - pN.x
+        except (TotalReflectionError, NoIntersectionError,
+                DegenerateSegmentError):
+            return None
 
     samples, causes = _shooting_scan(medium, p0, pN)
     evals = len(samples)
@@ -348,13 +416,13 @@ def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
             continue
         for _ in range(200):
             xm = 0.5 * (xa + xb)
-            try:
-                fm = fp(xm)
-            except (TotalReflectionError, NoIntersectionError,
-                    DegenerateSegmentError):
+            fm = fp(xm)
+            if fm is None:
                 # Mid-bracket failure: shrink toward the side closer to a root.
                 xa = xa + 0.25 * (xm - xa)
                 fa = fp(xa)
+                if fa is None:
+                    break
                 continue
             evals += 1
             if abs(fm) <= _FP_TOL or (xb - xa) < 1e-17:
@@ -365,22 +433,28 @@ def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
                 xb, fb = xm, fm
             else:
                 xa, fa = xm, fm
+        if fa is None:
+            continue  # the ray is lost on both sides: give this bracket up
         x_prev, f_prev = xa, fa
         x_cur, f_cur = (xb, fb) if xb != xa else (xa + 1e-12, fp(xa + 1e-12))
+        if f_cur is None:  # the secant start is lost: keep the bisection root
+            x_cur, f_cur = xa, fa
         for _ in range(12):
             if f_cur == f_prev or abs(f_cur) < 1e-16:
                 break
             x_next = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-            try:
-                f_next = fp(x_next)
-            except (TotalReflectionError, NoIntersectionError,
-                    DegenerateSegmentError):
+            f_next = fp(x_next)
+            if f_next is None:
                 break
             evals += 1
             if abs(f_next) >= abs(f_cur):
                 break
             x_prev, f_prev, x_cur, f_cur = x_cur, f_cur, x_next, f_next
         roots.append(x_cur)
+    if not roots:
+        raise NoBracketError(
+            f"every bracket lost its ray during refinement (scan skipped: "
+            f"{causes})", causes=causes)
 
     # Deduplicate near-identical roots from adjacent brackets.
     uniq: list[float] = []
@@ -388,15 +462,11 @@ def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
         if not uniq or abs(r - uniq[-1]) > 1e-9:
             uniq.append(r)
 
-    solutions = []
-    for r in uniq:
-        path = propagate(medium, p0, r, pN.z)
-        xs = tuple(q.x for q in path.points[1:-1])
-        solutions.append((path.tof_total, xs))
-    solutions.sort(key=lambda s: s[0])
-    tof, xs = solutions[0]
-    return _verify_and_build(medium, p0, pN, xs, evals, "shooting", opts,
-                             multiple_roots=len(solutions) > 1)
+    paths = [propagate(medium, p0, r, pN.z) for r in uniq]
+    best = min(paths, key=lambda path: path.tof_total)
+    return _verify_and_build(medium, p0, pN, [q.x for q in best.points[1:-1]],
+                             evals, "shooting", opts,
+                             multiple_roots=len(paths) > 1)
 
 
 def solve(medium: Medium, p0: Point2, pN: Point2,
@@ -435,13 +505,10 @@ def solve(medium: Medium, p0: Point2, pN: Point2,
         raise
     try:
         polished = solve_newton(sub, p0, pN, opts, x0=np.asarray(shot.xs))
-        return GoatSolution(polished.xs, polished.path, polished.tof,
-                            shot.iterations + polished.iterations,
-                            polished.residual_norm, "hybrid",
-                            shot.multiple_roots)
     except (NonConvergenceError, TotalReflectionError):
-        return GoatSolution(shot.xs, shot.path, shot.tof, shot.iterations,
-                            shot.residual_norm, "hybrid", shot.multiple_roots)
+        return replace(shot, method="hybrid")
+    return replace(polished, iterations=shot.iterations + polished.iterations,
+                   method="hybrid", multiple_roots=shot.multiple_roots)
 
 
 def tof_of_path(medium: Medium, points) -> float:
@@ -451,14 +518,10 @@ def tof_of_path(medium: Medium, points) -> float:
     if len(pts) != medium.num_layers + 1:
         raise ValueError(
             f"expected {medium.num_layers + 1} points, got {len(pts)}")
-    total = 0.0
-    for i in range(len(pts) - 1):
-        seg = pts[i].dist(pts[i + 1])
-        if seg < MIN_SEGMENT:
-            raise DegenerateSegmentError(
-                f"degenerate segment between {pts[i]} and {pts[i + 1]}")
-        total += seg / medium.speeds[i]
-    return total
+    segs = [a.dist(b) for a, b in zip(pts, pts[1:])]
+    if min(segs) < MIN_SEGMENT:
+        raise DegenerateSegmentError("consecutive path points coincide")
+    return sum(seg / c for seg, c in zip(segs, medium.speeds))
 
 
 def hmfa_tof(p0: Point2, pN: Point2, c: float) -> float:

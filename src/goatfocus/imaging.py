@@ -106,23 +106,26 @@ class BeamProfile:
 def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
                         pulse: Pulse, sample_rate: float, duration: float,
                         t0: float = 0.0,
-                        opts: SolverOptions = SolverOptions()) -> ChannelDataSet:
+                        opts: SolverOptions = SolverOptions(),
+                        tofs=None) -> ChannelDataSet:
     """Noise-free channel data for unit point scatterers.
 
     trace(tx, rx, t) = sum_k amp_k * pulse(t - tof(tx -> k) - tof(k -> rx)),
     with both legs along refraction-corrected paths (the synthesis engine is
     always the layered-medium one; it is the ground-truth physics here).
-    Failed (element, scatterer) solves contribute nothing and are recorded
-    in ``omitted``.
+    ``tofs`` takes the (element, scatterer) ToF map when the caller already
+    has it.  Failed (element, scatterer) solves contribute nothing and are
+    recorded in ``omitted``.
     """
     scatterers = [(p, float(a)) for p, a in scatterers]
     if sample_rate <= 2.0 * pulse.center_frequency * (1.0 + pulse.fractional_bandwidth):
         raise ValueError("sample rate too low for the pulse bandwidth")
     M = len(array)
     nt = int(round(duration * sample_rate))
-    sx = np.array([p.x for p, _ in scatterers])
-    sz = np.array([p.z for p, _ in scatterers])
-    tofs = tof_maps(medium, array.element_positions, sx, sz, opts)  # (M, K)
+    if tofs is None:
+        sx = np.array([p.x for p, _ in scatterers])
+        sz = np.array([p.z for p, _ in scatterers])
+        tofs = tof_maps(medium, array.element_positions, sx, sz, opts)  # (M, K)
     omitted = [(int(m), int(k), "no refracted path")
                for m, k in zip(*np.nonzero(~np.isfinite(tofs)))]
     cut = pulse.support

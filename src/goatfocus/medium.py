@@ -282,10 +282,14 @@ class Medium:
     def layer_of(self, p: Point2) -> int:
         """1-based index of the layer containing p (boundary points belong
         to the layer above)."""
-        for i, b in enumerate(self.boundaries):
-            if p.z <= b._eval(p.x) + _DOMAIN_SLACK:
-                return i + 1
-        return self.num_layers
+        return int(self.layers_of(np.array([p.x]), np.array([p.z]))[0])
+
+    def layers_of(self, x, z) -> np.ndarray:
+        """:meth:`layer_of` for every point (x[i], z[i]) of two arrays."""
+        layer = np.full(np.shape(x), self.num_layers)
+        for i in reversed(range(len(self.boundaries))):
+            layer[z <= self.boundaries[i]._eval(x) + _DOMAIN_SLACK] = i + 1
+        return layer
 
     def truncated(self, num_layers: int) -> "Medium":
         """The sub-stack made of the first ``num_layers`` layers."""

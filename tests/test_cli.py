@@ -3,6 +3,7 @@ artifact determinism)."""
 
 import json
 
+import numpy as np
 import pytest
 
 from goatfocus.cli import main
@@ -141,6 +142,11 @@ class TestCmdSolve:
                            "--out", "/nonexistent-dir/delays.csv")
         assert code == 5
 
+    def test_global_seed_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "1", "solve", "--scenario", "setting1"])
+        assert exc.value.code == 2
+
     def test_solve_output_deterministic(self, capsys):
         _, out1, _ = run(capsys, "solve", "--scenario", "setting2",
                          "--source", "4.6,5")
@@ -170,6 +176,15 @@ class TestCmdDelays:
             assert abs(float(dg) - float(dh)) <= 1e-15
             compared += 1
         assert compared == 32 * 2  # 32 elements, 2 foci
+
+    @pytest.mark.parametrize("tx", ["64", "-1"])
+    def test_transmit_element_out_of_range_exit_2(self, capsys, tmp_path, tx):
+        out = tmp_path / "d.csv"
+        code, _, err = run(capsys, "delays", "--scenario", "setting1",
+                           "--engine", "goat", "--tx", tx, "--out", str(out))
+        assert code == 2
+        assert json.loads(err)["error"] == "ScenarioError"
+        assert not out.exists()
 
     def test_provenance_header(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
@@ -249,6 +264,20 @@ class TestCmdLevelset:
                            "--seed", "12,30", "--out", str(tmp_path / "c.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        # setting1's source sits at z = 5 mm, so a seed at z = 1 mm is above
+        # it and no constant-ToF curve between source and focus exists.
+        ("--seed", "12,1"),
+        ("--seed", "12,30", "--steps", "0"),
+    ])
+    def test_bad_flag_values_exit_2(self, capsys, tmp_path, flags):
+        code, out, err = run(capsys, "levelset", "--scenario", "setting1",
+                             *flags, "--out", str(tmp_path / "c.csv"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ScenarioError"
+        assert not (tmp_path / "c.csv").exists()
+
 
 class TestCmdOracle:
     def test_setting1_passes(self, capsys):
@@ -259,6 +288,13 @@ class TestCmdOracle:
         rep = json.loads(out)
         assert rep["pass"] is True
         assert rep["difference_s"] <= rep["threshold_s"]
+
+    def test_grid_below_minimum_exit_2(self, capsys):
+        code, out, err = run(capsys, "oracle", "--scenario", "setting1",
+                             "--grid", "10")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ScenarioError"
 
 
 class TestCmdBeamform:
@@ -271,6 +307,25 @@ class TestCmdBeamform:
         img_g = (tmp_path / "bf_goat.pgm").read_bytes()
         img_h = (tmp_path / "bf_hmfa.pgm").read_bytes()
         assert img_g == img_h
+
+    def test_cold_run_solves_scatterers_once(self, capsys, tmp_path,
+                                              monkeypatch):
+        import goatfocus.batch
+        import goatfocus.imaging
+        shapes = []
+        real = goatfocus.batch.tof_maps
+
+        def counting(medium, sources, tx, tz, *args, **kwargs):
+            shapes.append(np.shape(tx))
+            return real(medium, sources, tx, tz, *args, **kwargs)
+
+        monkeypatch.setattr(goatfocus.batch, "tof_maps", counting)
+        monkeypatch.setattr(goatfocus.imaging, "tof_maps", counting)
+        code, _, _ = run(capsys, "beamform", "--scenario", "homogeneous",
+                         "--engine", "hmfa", "--out", str(tmp_path / "bf"))
+        assert code == 0
+        n_scatterers = len(load("homogeneous").imaging.scatterers)
+        assert shapes == [(n_scatterers,)]
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         prefix = str(tmp_path / "bf")

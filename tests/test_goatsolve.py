@@ -249,6 +249,68 @@ class TestSolveShooting:
         assert shot.tof == pytest.approx(oracle.tof, rel=1e-12)
 
 
+class TestShootingLostRays:
+    """A ray lost while refining one bracket gives that bracket up (or
+    skips the secant polish) instead of aborting the whole solve."""
+
+    @staticmethod
+    def lose_rays(monkeypatch, lost):
+        import goatfocus.goatsolve as goatsolve
+        real = goatsolve.propagate
+        calls = []
+
+        def propagate(medium, p0, x1, z_stop, *args, **kwargs):
+            if lost(x1, calls):
+                calls.append((x1, False))
+                raise TotalReflectionError("injected loss", ratio=None)
+            calls.append((x1, True))
+            return real(medium, p0, x1, z_stop, *args, **kwargs)
+
+        monkeypatch.setattr(goatsolve, "propagate", propagate)
+        return calls
+
+    @staticmethod
+    def three_root_case():
+        from goatfocus.goatsolve import _shooting_scan
+        from goatfocus.medium import SampledC1
+        dom = (0.0, 60 * MM)
+        xk = np.linspace(dom[0], dom[1], 241)
+        zk = 30 * MM + 4 * MM * np.sin(2 * np.pi * xk / (12 * MM))
+        med = Medium((1480.0, 1600.0), (SampledC1(xk, zk, dom),), dom)
+        p0, pN = Point2(10 * MM, 5 * MM), Point2(50 * MM, 50 * MM)
+        samples, _ = _shooting_scan(med, p0, pN)
+        brackets = [(xa, xb) for (xa, fa), (xb, fb) in zip(samples, samples[1:])
+                    if fa * fb < 0]
+        assert len(brackets) == 3
+        return med, p0, pN, brackets
+
+    def test_lost_retry_abandons_only_its_bracket(self, monkeypatch):
+        med, p0, pN, brackets = self.three_root_case()
+        expect = solve_shooting(med, p0, pN)
+        # Lose every ray launched strictly inside the second bracket: its
+        # midpoint and the retry point after it are both lost.
+        xa, xb = brackets[1]
+        calls = self.lose_rays(monkeypatch, lambda x, _: xa < x < xb)
+        got = solve_shooting(med, p0, pN)
+        assert sum(not ok for _, ok in calls) == 2
+        assert (got.tof, got.xs, got.multiple_roots) == \
+            (expect.tof, expect.xs, True)
+
+    def test_lost_secant_start_keeps_other_brackets(self, monkeypatch):
+        med, p0, pN, brackets = self.three_root_case()
+        expect = solve_shooting(med, p0, pN)
+        # The secant polish starts 1e-12 m beyond the last bisection point;
+        # lose that ray in the second bracket only.
+        xa, xb = brackets[1]
+        calls = self.lose_rays(
+            monkeypatch, lambda x, calls: xa < x < xb and bool(calls)
+            and x == calls[-1][0] + 1e-12)
+        got = solve_shooting(med, p0, pN)
+        assert sum(not ok for _, ok in calls) == 1
+        assert (got.tof, got.xs, got.multiple_roots) == \
+            (expect.tof, expect.xs, True)
+
+
 class TestSolveHybrid:
     def test_prefers_newton(self):
         med = setting2_medium()

@@ -1,0 +1,94 @@
+"""Property tests: the batched ToF engine against the scalar solver.
+
+Every batched ToF must equal the scalar :func:`solve` result to solver
+precision, and be NaN exactly where the scalar solver raises.  Targets are
+drawn in every layer, so straight chords, truncated stacks and full stacks
+are all exercised.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from goatfocus.batch import tof_batch
+from goatfocus.errors import GoatFocusError
+from goatfocus.goatsolve import solve, tof_rows
+from goatfocus.medium import Point2
+
+from cases import (
+    MM,
+    TOTAL_REFLECTION_FOCUS,
+    TOTAL_REFLECTION_SOURCE,
+    random_medium,
+    setting2_medium,
+    setting3_medium,
+    total_reflection_medium,
+)
+
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+
+
+def targets_in_every_layer(rng, medium, per_layer=3):
+    """Targets strictly inside each layer, the last one down to 30 mm below
+    its top boundary."""
+    lo, hi = medium.domain
+    span = hi - lo
+    tx, tz = [], []
+    for k in range(medium.num_layers):
+        x = rng.uniform(lo + 0.05 * span, hi - 0.05 * span, per_layer)
+        top = medium.boundaries[k - 1]._eval(x) if k else np.zeros(per_layer)
+        bottom = (medium.boundaries[k]._eval(x) if k < medium.num_layers - 1
+                  else top + 30 * MM)
+        tx.append(x)
+        tz.append(top + rng.uniform(0.02, 0.98, per_layer) * (bottom - top))
+    return np.concatenate(tx), np.concatenate(tz)
+
+
+def assert_batch_equals_scalar(medium, src, tx, tz):
+    got = tof_batch(medium, src, tx, tz)
+    for i in range(tx.size):
+        try:
+            ref = solve(medium, src, Point2(tx[i], tz[i])).tof
+        except GoatFocusError:
+            assert np.isnan(got[i])
+            continue
+        assert abs(got[i] - ref) <= 1e-15 * ref
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1))
+def test_random_media_batch_equals_scalar(seed):
+    rng = np.random.default_rng(seed)
+    med = random_medium(rng)
+    lo, hi = med.domain
+    src = Point2(rng.uniform(lo, hi), rng.uniform(0.0, 5 * MM))
+    assert_batch_equals_scalar(med, src, *targets_in_every_layer(rng, med))
+
+
+@SETTINGS
+@given(st.sampled_from(["setting2", "setting3"]), st.integers(0, 2**32 - 1))
+def test_ellipse_media_batch_equals_scalar(name, seed):
+    med = {"setting2": setting2_medium, "setting3": setting3_medium}[name]()
+    rng = np.random.default_rng(seed)
+    lo, hi = med.domain
+    src = Point2(rng.uniform(lo, hi), rng.uniform(0.0, 5 * MM))
+    assert_batch_equals_scalar(med, src, *targets_in_every_layer(rng, med))
+
+
+@SETTINGS
+@given(st.floats(-20 * MM, 20 * MM), st.floats(-20 * MM, 20 * MM))
+def test_unverified_rows_are_nan(dx, dz):
+    # Around the total-reflection focus no transmitted path exists; the row
+    # Newton cannot verify those rows and the batch must not return a number
+    # for any of them that the scalar solver rejects.
+    med = total_reflection_medium()
+    src = TOTAL_REFLECTION_SOURCE
+    x = np.array([TOTAL_REFLECTION_FOCUS.x, TOTAL_REFLECTION_FOCUS.x + dx])
+    z = np.array([TOTAL_REFLECTION_FOCUS.z, TOTAL_REFLECTION_FOCUS.z + dz])
+    ends = np.column_stack((np.full((2, 2), (src.x, src.z)), x, z))
+    tof, ok = tof_rows(med, ends)
+    assert not ok[0]
+    assert np.array_equal(np.isnan(tof), ~ok)
+    got = tof_batch(med, src, x, z)
+    assert np.isnan(got[0])
+    assert_batch_equals_scalar(med, src, x, z)
