@@ -30,6 +30,11 @@ def set_max_workers(n: int | None):
     _max_workers = max(1, int(n)) if n else 1
 
 
+def max_workers() -> int:
+    """The worker cap set by :func:`set_max_workers`."""
+    return _max_workers
+
+
 def tof_batch(medium: Medium, src: Point2, tx, tz,
               opts: SolverOptions = SolverOptions()):
     """Times of flight from ``src`` to every target (tx[i], tz[i]).

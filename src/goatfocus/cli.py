@@ -290,6 +290,7 @@ def cmd_beamform(args) -> int:
                                        scn.imaging.scatterers, scn.pulse, fs,
                                        duration, t0, scn.solver, tofs=tofs)
         write_channels(channels, ch_path, provenance=scn.provenance)
+        del channels  # the float64 set is not needed once it is on disk
     # Always beamform from the cached float32 data so that cached and fresh
     # runs produce byte-identical artifacts.
     channels = read_channels(ch_path)

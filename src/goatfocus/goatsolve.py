@@ -178,8 +178,9 @@ def residual_jacobian(medium: Medium, p0: Point2, pN: Point2, xs):
 def _chord_rows(medium: Medium, ends):
     """Crossings of each row's straight chord with every interface; NaN
     where a chord misses the interface between its endpoints or inside the
-    lateral domain.  Curved interfaces are found by bisection on the chord
-    parameter t of h(t) = b(x(t)) - z(t)."""
+    lateral domain.  Curved interfaces are found on the chord parameter t of
+    h(t) = b(x(t)) - z(t): bisection isolates a root to a bracket of
+    2**-20 of the chord, where a safeguarded Newton step finishes it."""
     x0, z0, xN, zN = ends.T
     lo, hi = medium.domain
     xs = np.empty((len(ends), medium.num_layers - 1))
@@ -189,24 +190,42 @@ def _chord_rows(medium: Medium, ends):
         elif isinstance(curve, Linear):
             t = (curve.k * x0 + curve.d - z0) / ((zN - z0) - curve.k * (xN - x0))
         else:
-            def h(t):
-                return curve._eval(x0 + t * (xN - x0)) - (z0 + t * (zN - z0))
-            a, b = np.zeros_like(x0), np.ones_like(x0)
-            ha, hb = h(a), h(b)
-            scale = np.maximum(np.abs(zN - z0), np.abs(xN - x0))
-            while True:
-                m = 0.5 * (a + b)
-                hm = h(m)
-                go = (np.abs(hm) > 1e-13) & ((b - a) * scale > 1e-16)
-                if not np.any(go):
-                    break
-                left = ha * hm <= 0
-                a, b = np.where(go & ~left, m, a), np.where(go & left, m, b)
-            t = np.where(ha * hb > 0, np.nan, 0.5 * (a + b))
+            t = _chord_root(curve, x0, z0, xN - x0, zN - z0, lo, hi)
         x = x0 + t * (xN - x0)
         xs[:, i] = np.where((0.0 < t) & (t < 1.0) & (lo - 1e-12 <= x)
                             & (x <= hi + 1e-12), x, np.nan)
     return xs
+
+
+def _chord_root(curve, x0, z0, dx, dz, lo, hi):
+    """Root t in [0, 1] of h(t) = b(x0 + t dx) - (z0 + t dz), one per row;
+    NaN where h does not change sign over the chord."""
+    def h(t):
+        return curve._eval(x0 + t * dx) - (z0 + t * dz)
+
+    a, b = np.zeros_like(x0), np.ones_like(x0)
+    ha, hb = h(a), h(b)
+    for _ in range(20):
+        m = 0.5 * (a + b)
+        hm = h(m)
+        left = ha * hm <= 0
+        a, ha, b = np.where(left, a, m), np.where(left, ha, hm), np.where(left, m, b)
+    t = 0.5 * (a + b)
+    scale = np.maximum(np.abs(dz), np.abs(dx))
+    go = ha * hb <= 0
+    for _ in range(60):
+        ht = h(t)
+        go &= (np.abs(ht) > 1e-13) & ((b - a) * scale > 1e-16)
+        if not np.any(go):
+            break
+        left = go & (ha * ht <= 0)
+        right = go & ~left
+        a, ha, b = np.where(right, t, a), np.where(right, ht, ha), np.where(left, t, b)
+        # Newton on h inside the bracket; bisect where it would leave it.
+        step = t - ht / (curve._slope(np.clip(x0 + t * dx, lo, hi)) * dx - dz)
+        step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+        t = np.where(go, step, t)
+    return np.where(ha * hb > 0, np.nan, t)
 
 
 def initial_guess_straight(medium: Medium, p0: Point2, pN: Point2) -> np.ndarray:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import hilbert
+from numpy import fft
 
+from . import batch
 from .batch import tof_maps
 from .errors import RoiError
 from .focusing import ElementArray
@@ -159,12 +161,20 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
 
 
 def envelope(trace) -> np.ndarray:
-    """Magnitude of the discrete analytic signal (negative frequencies
-    zeroed); same length as the input."""
+    """Magnitude of the discrete analytic signal along the last axis (Marple,
+    IEEE TSP 1999): the spectrum keeps DC (and Nyquist for even lengths),
+    doubles the positive frequencies and zeroes the negative ones.  Same
+    shape as the input."""
     trace = np.asarray(trace, dtype=float)
-    if trace.shape[-1] < 16:
+    n = trace.shape[-1]
+    if n < 16:
         raise ValueError("trace too short for envelope extraction")
-    return np.abs(hilbert(trace, axis=-1))
+    h = np.zeros(n)
+    h[0] = 1.0
+    h[1:(n + 1) // 2] = 2.0
+    if n % 2 == 0:
+        h[n // 2] = 1.0
+    return np.abs(fft.ifft(fft.fft(trace, axis=-1) * h, axis=-1))
 
 
 def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray) -> np.ndarray:
@@ -172,7 +182,10 @@ def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray) -> np.ndarray:
     two-way delay with linear interpolation and sum over all pairs.
 
     ``idx_maps[m]`` holds (one-way delay * sample_rate) per pixel for element
-    m.  Symmetric channel sets are folded over unordered pairs.
+    m.  Symmetric channel sets are folded over unordered pairs.  The pixels
+    are split into one contiguous slice per worker of the
+    :func:`batch.set_max_workers` cap; every slice sums its pairs in the
+    same order, so the result does not depend on the worker count.
     """
     M = channels.n_elements
     nt = channels.n_samples
@@ -181,26 +194,27 @@ def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray) -> np.ndarray:
     acc = np.zeros(npix)
     symmetric = np.array_equal(channels.samples,
                                channels.samples.swapaxes(0, 1))
-
-    def add(i, j, weight):
-        t = idx_maps[i] + idx_maps[j] + base
-        i0 = np.floor(t).astype(np.int64)
-        valid = (i0 >= 0) & (i0 < nt - 1)
-        i0c = np.where(valid, i0, 0)
-        w = t - i0
-        tr = channels.samples[i, j]
-        vals = tr[i0c] * (1.0 - w) + tr[i0c + 1] * w
-        np.add(acc, np.where(valid, vals, 0.0) * weight, out=acc)
-
     if symmetric:
-        for i in range(M):
-            add(i, i, 1.0)
-            for j in range(i + 1, M):
-                add(i, j, 2.0)
+        pairs = [(i, j, 1.0 if i == j else 2.0)
+                 for i in range(M) for j in range(i, M)]
     else:
-        for i in range(M):
-            for j in range(M):
-                add(i, j, 1.0)
+        pairs = [(i, j, 1.0) for i in range(M) for j in range(M)]
+
+    def run(px):
+        maps, out = idx_maps[:, px], acc[px]  # views, not copies
+        for i, j, weight in pairs:
+            t = maps[i] + maps[j] + base
+            i0 = np.floor(t).astype(np.int64)
+            valid = (i0 >= 0) & (i0 < nt - 1)
+            i0c = np.where(valid, i0, 0)
+            w = t - i0
+            tr = channels.samples[i, j]
+            vals = tr[i0c] * (1.0 - w) + tr[i0c + 1] * w
+            np.add(out, np.where(valid, vals, 0.0) * weight, out=out)
+
+    bounds = np.linspace(0, npix, batch.max_workers() + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+        list(pool.map(run, [slice(a, b) for a, b in zip(bounds, bounds[1:])]))
     return acc
 
 
@@ -231,9 +245,11 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     else:
         raise ValueError(f"unknown engine {engine!r}")
     nz, nx = gx.shape
-    flat = maps.reshape(len(array), -1) * channels.sample_rate
-    absent = np.any(~np.isfinite(flat), axis=0)
-    flat = np.where(np.isfinite(flat), flat, 0.0)
+    flat = maps.reshape(len(array), -1)
+    flat *= channels.sample_rate
+    bad = ~np.isfinite(flat)
+    absent = np.any(bad, axis=0)
+    flat[bad] = 0.0
     raw = _das_sum(channels, flat).reshape(nz, nx)
     absent = absent.reshape(nz, nx)
     if scale == "linear":
@@ -324,7 +340,7 @@ def write_channels(channels: ChannelDataSet, path, provenance: str = ""):
     with open(path, "wb") as fh:
         fh.write(CHANNEL_MAGIC)
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(np.ascontiguousarray(channels.samples, dtype="<f4").tobytes())
+        np.ascontiguousarray(channels.samples, dtype="<f4").tofile(fh)
 
 
 def read_channels(path) -> ChannelDataSet:
@@ -333,7 +349,7 @@ def read_channels(path) -> ChannelDataSet:
         if magic != CHANNEL_MAGIC:
             raise ValueError(f"not a channel data file: bad magic {magic!r}")
         header = json.loads(fh.readline().decode())
-        raw = np.frombuffer(fh.read(), dtype="<f4")
+        raw = np.fromfile(fh, dtype="<f4")
     shape = (header["n_tx"], header["n_rx"], header["n_samples"])
     samples = raw.reshape(shape).astype(float)
     return ChannelDataSet(samples, header["sample_rate_hz"], header["t0_s"])

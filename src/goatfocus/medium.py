@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, SingularSlopeError
 
@@ -173,7 +172,8 @@ class SampledC1(BoundaryCurve):
 
     The sample abscissae must be strictly increasing and span the domain.
     Natural end conditions (zero second derivative) avoid inventing end
-    slopes the samples do not carry.
+    slopes the samples do not carry.  Outside the knots the end pieces
+    extend as cubics.
     """
 
     def __init__(self, x_samples, z_samples, domain=None):
@@ -186,20 +186,30 @@ class SampledC1(BoundaryCurve):
         self.x_samples = x
         self.z_samples = z
         self.domain = (float(x[0]), float(x[-1])) if domain is None else tuple(domain)
-        self._spline = CubicSpline(x, z, bc_type="natural")
-        self._dspline = self._spline.derivative(1)
-        self._d2spline = self._spline.derivative(2)
+        self._coef = _natural_spline(x, z)
+
+    def _piece(self, x):
+        """Coefficients (c3, c2, c1, c0) of the piece holding each x, and
+        x's offset from that piece's left knot."""
+        x = np.asarray(x, dtype=float)
+        # Counting interior knots at or left of x picks the piece, with the
+        # end pieces extending past the outer knots.
+        i = np.searchsorted(self.x_samples[1:-1], x, side="right")
+        return self._coef[:, i], x - self.x_samples[i]
 
     def _eval(self, x):
-        out = self._spline(x)
+        (c3, c2, c1, c0), t = self._piece(x)
+        out = ((c3 * t + c2) * t + c1) * t + c0
         return out if np.ndim(x) else float(out)
 
     def _slope(self, x):
-        out = self._dspline(x)
+        (c3, c2, c1, _), t = self._piece(x)
+        out = (3.0 * c3 * t + 2.0 * c2) * t + c1
         return out if np.ndim(x) else float(out)
 
     def _curvature(self, x):
-        out = self._d2spline(x)
+        (c3, c2, _, _), t = self._piece(x)
+        out = 6.0 * c3 * t + 2.0 * c2
         return out if np.ndim(x) else float(out)
 
     def translated(self, dx):
@@ -208,6 +218,31 @@ class SampledC1(BoundaryCurve):
 
     def flipped(self, z_ref):
         return SampledC1(self.x_samples, z_ref - self.z_samples, self.domain)
+
+
+def _natural_spline(x, z) -> np.ndarray:
+    """Piecewise cubic coefficients (4, knots - 1), highest power first, of
+    the natural spline through (x, z); piece i is in powers of x - x[i].
+
+    The knot second derivatives M solve h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i]
+    + h[i] M[i+1] = 6 (d[i] - d[i-1]) with M = 0 at both ends (h: knot
+    spacings, d: secant slopes), by one Thomas sweep.
+    """
+    h = np.diff(x)
+    d = np.diff(z) / h
+    diag = 2.0 * (h[:-1] + h[1:])
+    rhs = 6.0 * np.diff(d)
+    off = h[1:-1]
+    for j in range(1, diag.size):
+        w = off[j - 1] / diag[j - 1]
+        diag[j] -= w * off[j - 1]
+        rhs[j] -= w * rhs[j - 1]
+    M = np.zeros_like(x)
+    M[-2] = rhs[-1] / diag[-1]
+    for j in range(diag.size - 2, -1, -1):
+        M[j + 1] = (rhs[j] - off[j] * M[j + 2]) / diag[j]
+    return np.array([np.diff(M) / (6.0 * h), 0.5 * M[:-1],
+                     d - h * (2.0 * M[:-1] + M[1:]) / 6.0, z[:-1]])
 
 
 def boundary_eval(curve: BoundaryCurve, x):

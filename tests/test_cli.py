@@ -2,10 +2,16 @@
 artifact determinism)."""
 
 import json
+import os
+import subprocess
+import sys
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import goatfocus
 from goatfocus.cli import main
 from goatfocus.errors import ScenarioError
 from goatfocus.scenario import fixture_names, load, loads
@@ -338,6 +344,24 @@ class TestCmdBeamform:
         assert (tmp_path / "bf_goat.pgm").read_bytes() == first
         assert (tmp_path / "bf_channels.goatcd").read_bytes() == ch_first
 
+    def test_image_independent_of_threads(self, capsys, tmp_path):
+        # A refracting medium, so the goat delays come from the row Newton,
+        # and two workers, so the delay-and-sum runs on two pixel slices.
+        scn = json.loads((files("goatfocus") / "fixtures" /
+                          "homogeneous.json").read_text())
+        scn["medium"]["speeds"] = [1400.0, 1540.0]
+        path = tmp_path / "slow_layer.json"
+        path.write_text(json.dumps(scn))
+        images = []
+        for threads in ("1", "2"):
+            prefix = str(tmp_path / f"t{threads}")
+            code, _, _ = run(capsys, "--threads", threads, "beamform",
+                             "--scenario", str(path), "--engine", "goat",
+                             "--out", prefix)
+            assert code == 0
+            images.append((tmp_path / f"t{threads}_goat.pgm").read_bytes())
+        assert images[0] == images[1]
+
     def test_metadata_and_profiles_written(self, capsys, tmp_path):
         prefix = str(tmp_path / "bf")
         code, out, _ = run(capsys, "beamform", "--scenario", "homogeneous",
@@ -348,3 +372,12 @@ class TestCmdBeamform:
         assert meta["engine"] == "goat"
         assert meta["scale"] == "db"
         assert rep["profiles"][0]["fwhm_m"] > 0
+
+
+def test_cli_import_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(goatfocus.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, goatfocus.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,16 +1,20 @@
 """Channel synthesis, envelope extraction, DAS beamforming, beam profiles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from goatfocus import batch
 from goatfocus.errors import RoiError
 from goatfocus.focusing import linear_array
 from goatfocus.imaging import (
+    ChannelDataSet,
     Image,
     ImageGrid,
     Pulse,
+    _das_sum,
     beam_profile,
     das_beamform,
     envelope,
@@ -141,6 +145,14 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope(np.zeros(8))
 
+    @pytest.mark.parametrize("n", [1023, 1024])
+    def test_matches_scipy_hilbert(self, rng, n):
+        signal = pytest.importorskip("scipy.signal")
+        traces = rng.standard_normal((5, n))
+        for x in (traces[0], traces):
+            want = np.abs(signal.hilbert(x, axis=-1))
+            assert np.max(np.abs(envelope(x) - want)) <= 1e-12 * np.max(want)
+
 
 class TestDasBeamform:
     def test_single_scatterer_peak_at_true_position(self):
@@ -198,6 +210,24 @@ class TestDasBeamform:
         assert img.scale == "db"
         assert np.max(img.intensity) == 0.0
         assert np.min(img.intensity) >= -60.0
+
+    def test_das_sum_independent_of_workers(self, rng):
+        # More workers than cores, uneven pixel slices, a non-symmetric
+        # channel set and delays partly outside the traces; a short switch
+        # interval interleaves the workers as often as possible.
+        ch = ChannelDataSet(rng.standard_normal((4, 4, 200)), FS)
+        idx = rng.uniform(-5.0, 110.0, (4, 1001))
+        workers, switch = batch.max_workers(), sys.getswitchinterval()
+        try:
+            batch.set_max_workers(1)
+            ref = _das_sum(ch, idx)
+            sys.setswitchinterval(1e-6)
+            for n in (2, 5):
+                batch.set_max_workers(n)
+                assert np.array_equal(_das_sum(ch, idx), ref)
+        finally:
+            sys.setswitchinterval(switch)
+            batch.set_max_workers(workers)
 
 
 class TestBeamProfile:

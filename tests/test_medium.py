@@ -17,7 +17,7 @@ from goatfocus.medium import (
     validate_medium,
 )
 
-from cases import MM, setting2_medium
+from cases import MM, oscillating_medium, setting2_medium
 
 
 def central_diff(curve, x, h):
@@ -109,15 +109,39 @@ class TestSampledC1:
         xk = np.linspace(0.0, 50 * MM, 41)
         zk = 20 * MM + 3 * MM * np.cos(xk / (7 * MM))
         curve = SampledC1(xk, zk)
-        deriv = curve._spline.derivative(1)
         for i, x in enumerate(xk[1:-1], start=1):
-            left = np.polyval(deriv.c[:, i - 1], x - deriv.x[i - 1])
-            right = np.polyval(deriv.c[:, i], 0.0)
+            left = np.polyval(np.polyder(curve._coef[:, i - 1]), x - xk[i - 1])
+            right = np.polyval(np.polyder(curve._coef[:, i]), 0.0)
             assert abs(left - right) <= 1e-10 * max(1.0, abs(left))
 
     def test_requires_increasing_samples(self):
         with pytest.raises(ValueError):
             SampledC1([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("transform", ["none", "translated", "flipped"])
+    def test_matches_scipy_natural_spline(self, transform):
+        # Value, slope and curvature agree with scipy's natural CubicSpline
+        # on the oscillating knots, inside them and up to 1 % of the span
+        # outside them (where both extend the end pieces).
+        interpolate = pytest.importorskip("scipy.interpolate")
+        curve = oscillating_medium().boundaries[0]
+        if transform == "translated":
+            curve = curve.translated(7 * MM)
+        elif transform == "flipped":
+            curve = curve.flipped(70 * MM)
+        xk, zk = curve.x_samples, curve.z_samples
+        ref = interpolate.CubicSpline(xk, zk, bc_type="natural")
+        pad = 0.01 * (xk[-1] - xk[0])
+        x = np.linspace(xk[0] - pad, xk[-1] + pad, 4001)
+        for k, got in enumerate((curve._eval(x), curve._slope(x),
+                                 curve._curvature(x))):
+            want = ref(x, k)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_scalar_input_returns_float(self):
+        curve = oscillating_medium().boundaries[0]
+        for f in (curve._eval, curve._slope, curve._curvature):
+            assert type(f(13 * MM)) is float
 
 
 class TestEllipseIdentity:
