@@ -12,7 +12,10 @@ equation group is re-verified; nothing is trusted from solver state.
 
 The Newton works on rows, one two-point problem each, with a Thomas sweep
 per row; a single solve is the one-row case, so :func:`solve` and the
-batched :func:`tof_rows` share one implementation.
+batched :func:`tof_rows` share one implementation.  Its arrays are
+interface-major: endpoints are (4, rows), crossings and residuals
+(K, rows) for K interfaces, segments (K+1, rows), so each interface is one
+contiguous vector however few interfaces there are.
 """
 
 from __future__ import annotations
@@ -62,87 +65,89 @@ class GoatSolution:
 
 
 def _ends(p0: Point2, pN: Point2) -> np.ndarray:
-    """One row of endpoints (x0, z0, xN, zN): the scalar API's only row."""
-    return np.array([[p0.x, p0.z, pN.x, pN.z]])
+    """One row of endpoints (x0, z0, xN, zN), shape (4, 1): the scalar API's
+    only row."""
+    return np.array([[p0.x], [p0.z], [pN.x], [pN.z]])
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _chain(medium: Medium, ends, xs):
-    """Chains ends[r, :2] -> crossings xs[r] -> ends[r, 2:], one per row.
+    """Chains (ends[0], ends[1]) -> crossings xs[:, r] -> (ends[2], ends[3]),
+    one per row; ``ends`` is (4, rows), ``xs`` (K, rows).
 
     Returns (dX, dZ, L, tau, sin_in, sin_out, F): segment components and
-    lengths (rows, K+1); slopes, sines and the Snell residuals
-    F_n = (c_{n+1} sin_in - c_n sin_out) / max(c) (rows, K), +inf on rows
-    with a degenerate segment.
+    lengths (K+1, rows); slopes, sines and the Snell residuals
+    F_n = (c_{n+1} sin_in - c_n sin_out) / max(c) (K, rows), +inf in the
+    columns of rows with a degenerate segment.
     """
-    X = np.column_stack((ends[:, 0], xs, ends[:, 2]))
+    X = np.concatenate((ends[0:1], xs, ends[2:3]))
     Z = np.empty_like(X)
-    Z[:, 0], Z[:, -1] = ends[:, 1], ends[:, 3]
-    tau = np.empty(np.shape(xs))
+    Z[0], Z[-1] = ends[1], ends[3]
+    tau = np.empty_like(X[1:-1])
     for i, b in enumerate(medium.boundaries):
-        Z[:, i + 1] = b._eval(xs[:, i])
-        tau[:, i] = b._slope(xs[:, i])
-    dX, dZ = np.diff(X, axis=1), np.diff(Z, axis=1)
+        Z[i + 1] = b._eval(xs[i])
+        tau[i] = b._slope(xs[i])
+    dX, dZ = X[1:] - X[:-1], Z[1:] - Z[:-1]
     L = np.hypot(dX, dZ)
-    c = np.asarray(medium.speeds)
+    c = np.asarray(medium.speeds)[:, None]
     T = np.sqrt(1.0 + tau * tau)
-    sin_in = (dX[:, :-1] + tau * dZ[:, :-1]) / (T * L[:, :-1])
-    sin_out = (dX[:, 1:] + tau * dZ[:, 1:]) / (T * L[:, 1:])
+    sin_in = (dX[:-1] + tau * dZ[:-1]) / (T * L[:-1])
+    sin_out = (dX[1:] + tau * dZ[1:]) / (T * L[1:])
     F = (c[1:] * sin_in - c[:-1] * sin_out) / np.max(c)
-    F[np.any(L < MIN_SEGMENT, axis=1)] = np.inf
+    F[:, np.any(L < MIN_SEGMENT, axis=0)] = np.inf
     return dX, dZ, L, tau, sin_in, sin_out, F
 
 
 def _jacobian(medium: Medium, xs, chain):
     """Analytic tridiagonal Jacobian of the residuals, row-wise: (sub, diag,
-    sup), each (rows, K), with sub[:, i] = dF_i/dx_{i-1} (sub[:, 0] = 0) and
-    sup[:, i] = dF_i/dx_{i+1} (sup[:, -1] = 0).  Boundary second derivatives
+    sup), each (K, rows), with sub[i] = dF_i/dx_{i-1} (sub[0] = 0) and
+    sup[i] = dF_i/dx_{i+1} (sup[-1] = 0).  Boundary second derivatives
     enter through the tangent-slope chain rule."""
     dX, dZ, L, tau = chain[:4]
-    kap = np.column_stack([b._curvature(xs[:, i])
-                           for i, b in enumerate(medium.boundaries)])
-    c = np.asarray(medium.speeds)
+    kap = np.array([b._curvature(xs[i]) for i, b in enumerate(medium.boundaries)])
+    c = np.asarray(medium.speeds)[:, None]
     cmax = np.max(c)
     T = np.sqrt(1.0 + tau * tau)
     dT = tau * kap / T
-    L_in, L_out = L[:, :-1], L[:, 1:]
-    A_in = dX[:, :-1] + tau * dZ[:, :-1]
-    A_out = dX[:, 1:] + tau * dZ[:, 1:]
+    L_in, L_out = L[:-1], L[1:]
+    A_in = dX[:-1] + tau * dZ[:-1]
+    A_out = dX[1:] + tau * dZ[1:]
     # d sin_in / d x_i and d sin_out / d x_i.
-    dsin_in = (1.0 + tau * tau + kap * dZ[:, :-1] - A_in * dT / T
+    dsin_in = (1.0 + tau * tau + kap * dZ[:-1] - A_in * dT / T
                - A_in * (A_in / L_in) / L_in) / (T * L_in)
-    dsin_out = (-(1.0 + tau * tau) + kap * dZ[:, 1:] - A_out * dT / T
+    dsin_out = (-(1.0 + tau * tau) + kap * dZ[1:] - A_out * dT / T
                 - A_out * (-A_out / L_out) / L_out) / (T * L_out)
     diag = (c[1:] * dsin_in - c[:-1] * dsin_out) / cmax
     # Neighbours i-1, i couple through the segment between their crossings.
-    t_up, t_dn = tau[:, :-1], tau[:, 1:]
-    dXm, dZm, Lm = dX[:, 1:-1], dZ[:, 1:-1], L[:, 1:-1]
+    t_up, t_dn = tau[:-1], tau[1:]
+    dXm, dZm, Lm = dX[1:-1], dZ[1:-1], L[1:-1]
     sub = np.zeros_like(diag)
     sup = np.zeros_like(diag)
     dL = -(dXm + t_up * dZm) / Lm
-    sub[:, 1:] = c[2:] * ((-1.0 - t_dn * t_up - A_in[:, 1:] * dL / Lm)
-                          / (T[:, 1:] * Lm)) / cmax
+    sub[1:] = c[2:] * ((-1.0 - t_dn * t_up - A_in[1:] * dL / Lm)
+                       / (T[1:] * Lm)) / cmax
     dL = (dXm + t_dn * dZm) / Lm
-    sup[:, :-1] = -c[:-2] * ((1.0 + t_up * t_dn - A_out[:, :-1] * dL / Lm)
-                             / (T[:, :-1] * Lm)) / cmax
+    sup[:-1] = -c[:-2] * ((1.0 + t_up * t_dn - A_out[:-1] * dL / Lm)
+                          / (T[:-1] * Lm)) / cmax
     return sub, diag, sup
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _newton_step(medium: Medium, xs, chain):
-    """Newton correction -J^{-1} F of every row, by a Thomas sweep (no
-    pivoting); a singular system leaves non-finite entries in its row."""
+    """Newton correction -J^{-1} F of every row, (K, rows), by a Thomas
+    sweep (no pivoting); a singular system leaves non-finite entries in its
+    row."""
     sub, diag, sup = _jacobian(medium, xs, chain)
     x = -chain[-1]
     cp = np.empty_like(diag)
-    cp[:, 0] = sup[:, 0] / diag[:, 0]
-    x[:, 0] /= diag[:, 0]
-    for i in range(1, diag.shape[1]):
-        m = diag[:, i] - sub[:, i] * cp[:, i - 1]
-        cp[:, i] = sup[:, i] / m
-        x[:, i] = (x[:, i] - sub[:, i] * x[:, i - 1]) / m
-    for i in range(diag.shape[1] - 2, -1, -1):
-        x[:, i] -= cp[:, i] * x[:, i + 1]
+    cp[0] = sup[0] / diag[0]
+    x[0] /= diag[0]
+    for i in range(1, len(diag)):
+        m = diag[i] - sub[i] * cp[i - 1]
+        cp[i] = sup[i] / m
+        x[i] = (x[i] - sub[i] * x[i - 1]) / m
+    for i in range(len(diag) - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
     return x
 
 
@@ -153,7 +158,7 @@ def residuals(medium: Medium, p0: Point2, pN: Point2, xs) -> np.ndarray:
     sines come from the segment/tangent projections at the reconstructed
     crossing points.
     """
-    F = _chain(medium, _ends(p0, pN), np.reshape(xs, (1, -1)))[-1][0]
+    F = _chain(medium, _ends(p0, pN), np.reshape(xs, (-1, 1)))[-1][:, 0]
     if np.any(np.isinf(F)):
         raise DegenerateSegmentError("consecutive path points coincide")
     return F
@@ -167,23 +172,24 @@ def residual_jacobian(medium: Medium, p0: Point2, pN: Point2, xs):
     second derivatives enter through the tangent-slope chain rule; straight
     boundaries contribute zero curvature.
     """
-    xs = np.reshape(xs, (1, -1)).astype(float)
+    xs = np.reshape(xs, (-1, 1)).astype(float)
     chain = _chain(medium, _ends(p0, pN), xs)
     if np.any(np.isinf(chain[-1])):
         raise DegenerateSegmentError("consecutive path points coincide")
-    return tuple(a[0] for a in _jacobian(medium, xs, chain))
+    return tuple(a[:, 0] for a in _jacobian(medium, xs, chain))
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _chord_rows(medium: Medium, ends):
-    """Crossings of each row's straight chord with every interface; NaN
-    where a chord misses the interface between its endpoints or inside the
-    lateral domain.  Curved interfaces are found on the chord parameter t of
-    h(t) = b(x(t)) - z(t): bisection isolates a root to a bracket of
-    2**-20 of the chord, where a safeguarded Newton step finishes it."""
-    x0, z0, xN, zN = ends.T
+    """Crossings (K, rows) of each row's straight chord with every
+    interface, ``ends`` being (4, rows); NaN where a chord misses the
+    interface between its endpoints or inside the lateral domain.  Curved
+    interfaces are found on the chord parameter t of h(t) = b(x(t)) - z(t):
+    bisection isolates a root to a bracket of 2**-20 of the chord, where a
+    safeguarded Newton step finishes it."""
+    x0, z0, xN, zN = ends
     lo, hi = medium.domain
-    xs = np.empty((len(ends), medium.num_layers - 1))
+    xs = np.empty((medium.num_layers - 1, ends.shape[1]))
     for i, curve in enumerate(medium.boundaries):
         if isinstance(curve, Constant):
             t = (curve.d - z0) / (zN - z0)
@@ -192,7 +198,7 @@ def _chord_rows(medium: Medium, ends):
         else:
             t = _chord_root(curve, x0, z0, xN - x0, zN - z0, lo, hi)
         x = x0 + t * (xN - x0)
-        xs[:, i] = np.where((0.0 < t) & (t < 1.0) & (lo - 1e-12 <= x)
+        xs[i] = np.where((0.0 < t) & (t < 1.0) & (lo - 1e-12 <= x)
                             & (x <= hi + 1e-12), x, np.nan)
     return xs
 
@@ -231,7 +237,7 @@ def _chord_root(curve, x0, z0, dx, dz, lo, hi):
 def initial_guess_straight(medium: Medium, p0: Point2, pN: Point2) -> np.ndarray:
     """Crossings of the straight chord with every interface (refraction-free
     ray), used to start the Newton iteration."""
-    xs = _chord_rows(medium, _ends(p0, pN))[0]
+    xs = _chord_rows(medium, _ends(p0, pN))[:, 0]
     if np.any(np.isnan(xs)):
         i = int(np.argmax(np.isnan(xs)))
         raise NoIntersectionError(
@@ -242,7 +248,8 @@ def initial_guess_straight(medium: Medium, p0: Point2, pN: Point2) -> np.ndarray
 
 
 def _newton_rows(medium: Medium, ends, xs, opts: SolverOptions):
-    """Damped Newton on every row at once, from the crossings ``xs``.
+    """Damped Newton on every row at once, from the crossings ``xs`` (K, rows)
+    between ``ends`` (4, rows).
 
     Each row stops on its own: at the residual tolerance, or when halving
     its step ``max_backtracks`` times neither lowers the residual norm nor
@@ -252,29 +259,32 @@ def _newton_rows(medium: Medium, ends, xs, opts: SolverOptions):
     """
     lo, hi = medium.domain[0] + 1e-12, medium.domain[1] - 1e-12
     xs = np.array(xs, dtype=float)
-    fn = np.max(np.abs(_chain(medium, ends, xs)[-1]), axis=1)
-    iterations = np.zeros(len(xs), dtype=int)
+    fn = np.max(np.abs(_chain(medium, ends, xs)[-1]), axis=0)
+    iterations = np.zeros(xs.shape[1], dtype=int)
     active = np.isfinite(fn)
     for _ in range(opts.max_newton_iters):
         active &= fn > opts.tol_residual
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        delta = _newton_step(medium, xs[rows], _chain(medium, ends[rows], xs[rows]))
+        x_r, e_r = xs[:, rows], ends[:, rows]
+        delta = _newton_step(medium, x_r, _chain(medium, e_r, x_r))
         iterations[rows] += 1
         alpha = 1.0
         for _bt in range(opts.max_backtracks + 1):
-            trial = xs[rows] + alpha * delta
-            inside = np.all((trial > lo) & (trial < hi), axis=1)
+            trial = x_r + alpha * delta
+            inside = np.all((trial > lo) & (trial < hi), axis=0)
             fnt = np.full(rows.size, np.inf)
             if np.any(inside):
-                F = _chain(medium, ends[rows[inside]], trial[inside])[-1]
-                fnt[inside] = np.max(np.abs(F), axis=1)
+                F = _chain(medium, e_r[:, inside], trial[:, inside])[-1]
+                fnt[inside] = np.max(np.abs(F), axis=0)
             better = fnt < fn[rows]
-            xs[rows[better]], fn[rows[better]] = trial[better], fnt[better]
-            rows, delta = rows[~better], delta[~better]
+            xs[:, rows[better]], fn[rows[better]] = trial[:, better], fnt[better]
+            keep = ~better
+            rows, delta = rows[keep], delta[:, keep]
             if rows.size == 0:
                 break
+            x_r, e_r = x_r[:, keep], e_r[:, keep]
             alpha *= 0.5
         active[rows] = False
     return xs, iterations
@@ -283,32 +293,33 @@ def _newton_rows(medium: Medium, ends, xs, opts: SolverOptions):
 def _verify_rows(medium: Medium, ends, xs, tol: float):
     """Rebuild every row's chain from its crossings alone and re-check it.
 
-    Returns (failed, chain, implied, tof): ``failed`` is a (rows, 4) mask of
-    failed checks, namely a crossing outside the lateral domain, a degenerate
-    segment, an unresolved residual and total reflection (an implied
-    transmitted sine c_{n+1}/c_n sin_in beyond 1 + 1e-9).  A residual is
+    ``ends`` is (4, rows) and ``xs`` (K, rows).  Returns (failed, chain,
+    implied, tof): ``failed`` is a (4, rows) mask of failed checks, namely a
+    crossing outside the lateral domain, a degenerate segment, an unresolved
+    residual and total reflection (an implied transmitted sine
+    c_{n+1}/c_n sin_in beyond 1 + 1e-9).  A residual is
     resolved at norm ``tol``, or when its Newton correction is below the
     spacing of every crossing: within ~1e-9 m of an interface one such
     spacing moves the residual by more than ``tol``.
     """
     chain = _chain(medium, ends, xs)
     c = np.asarray(medium.speeds)
-    implied = c[1:] / c[:-1] * chain[4]
-    rnorm = np.max(np.abs(chain[-1]), axis=1)
+    implied = (c[1:] / c[:-1])[:, None] * chain[4]
+    rnorm = np.max(np.abs(chain[-1]), axis=0)
     unresolved = ~(rnorm <= tol)
     r = np.flatnonzero(unresolved & np.isfinite(rnorm))
     if r.size:
-        step = _newton_step(medium, xs[r], [a[r] for a in chain])
-        unresolved[r] = ~np.all(np.abs(step) <= np.spacing(np.abs(xs[r])), axis=1)
+        step = _newton_step(medium, xs[:, r], [a[:, r] for a in chain])
+        unresolved[r] = ~np.all(np.abs(step) <= np.spacing(np.abs(xs[:, r])), axis=0)
     lo, hi = medium.domain
-    failed = np.column_stack((
-        np.any((xs < lo - _DOMAIN_SLACK) | (xs > hi + _DOMAIN_SLACK), axis=1),
-        np.any(chain[2] < MIN_SEGMENT, axis=1),
+    failed = np.stack((
+        np.any((xs < lo - _DOMAIN_SLACK) | (xs > hi + _DOMAIN_SLACK), axis=0),
+        np.any(chain[2] < MIN_SEGMENT, axis=0),
         unresolved,
-        np.any(np.abs(implied) > 1.0 + 1e-9, axis=1)))
-    tof = chain[2][:, 0] / c[0]
+        np.any(np.abs(implied) > 1.0 + 1e-9, axis=0)))
+    tof = chain[2][0] / c[0]
     for i in range(1, len(c)):  # left to right, like a scalar sum
-        tof = tof + chain[2][:, i] / c[i]
+        tof = tof + chain[2][i] / c[i]
     return failed, chain, implied, tof
 
 
@@ -318,9 +329,10 @@ def tof_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
     the straight chords, then the checks of :func:`_verify_and_build`.
     Returns (tof, ok); rows that fail a check carry NaN and ok False.
     """
+    ends = np.ascontiguousarray(np.transpose(ends), dtype=float)
     xs, _ = _newton_rows(medium, ends, _chord_rows(medium, ends), opts)
     failed, _, _, tof = _verify_rows(medium, ends, xs, opts.tol_residual)
-    ok = ~np.any(failed, axis=1)
+    ok = ~np.any(failed, axis=0)
     return np.where(ok, tof, np.nan), ok
 
 
@@ -330,9 +342,9 @@ def _verify_and_build(medium, p0, pN, xs, iterations, method, opts,
     every equation group; package the result."""
     xs = np.asarray(xs, dtype=float)
     failed, chain, implied, tof = _verify_rows(
-        medium, _ends(p0, pN), xs.reshape(1, -1), opts.tol_residual)
-    outside, degenerate, unresolved, reflected = failed[0]
-    _, _, L, tau, sin_in, sin_out, F = (a[0] for a in chain)
+        medium, _ends(p0, pN), xs.reshape(-1, 1), opts.tol_residual)
+    outside, degenerate, unresolved, reflected = failed[:, 0]
+    _, _, L, tau, sin_in, sin_out, F = (a[:, 0] for a in chain)
     rnorm = float(np.max(np.abs(F)))
     if outside:
         raise DomainError(f"crossings {xs} outside the domain {medium.domain}")
@@ -344,10 +356,10 @@ def _verify_and_build(medium, p0, pN, xs, iterations, method, opts,
             f"exceeds tolerance {opts.tol_residual:.3e}", best_xs=xs,
             best_residual=rnorm, iterations=iterations)
     if reflected:
-        i = int(np.argmax(np.abs(implied[0]) > 1.0 + 1e-9))
+        i = int(np.argmax(np.abs(implied[:, 0]) > 1.0 + 1e-9))
         raise TotalReflectionError(
             f"reconstructed crossing {i + 1} implies |sin| = "
-            f"{abs(implied[0, i]):.6g}", ratio=float(implied[0, i]),
+            f"{abs(implied[i, 0]):.6g}", ratio=float(implied[i, 0]),
             boundary_index=i + 1)
     X = (p0.x, *xs, pN.x)
     Z = (p0.z, *(b._eval(x) for b, x in zip(medium.boundaries, xs)), pN.z)
@@ -371,8 +383,8 @@ def solve_newton(medium: Medium, p0: Point2, pN: Point2,
     """
     xs = initial_guess_straight(medium, p0, pN) if x0 is None else x0
     xs, iterations = _newton_rows(medium, _ends(p0, pN),
-                                  np.reshape(xs, (1, -1)), opts)
-    return _verify_and_build(medium, p0, pN, xs[0], int(iterations[0]),
+                                  np.reshape(xs, (-1, 1)), opts)
+    return _verify_and_build(medium, p0, pN, xs[:, 0], int(iterations[0]),
                              "newton", opts)
 
 

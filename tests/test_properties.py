@@ -3,12 +3,17 @@
 Every batched ToF must equal the scalar :func:`solve` result to solver
 precision, and be NaN exactly where the scalar solver raises.  Targets are
 drawn in every layer, so straight chords, truncated stacks and full stacks
-are all exercised.
+are all exercised.  Rows are independent: a row's ToF does not depend on
+which other rows share its call or in what order, and every finite batched
+ToF agrees with the brute-force Fermat oracle.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from goatfocus import batch
+from goatfocus.analysis import fermat_oracle
 from goatfocus.batch import tof_batch
 from goatfocus.errors import GoatFocusError
 from goatfocus.goatsolve import solve, tof_rows
@@ -18,6 +23,8 @@ from cases import (
     MM,
     TOTAL_REFLECTION_FOCUS,
     TOTAL_REFLECTION_SOURCE,
+    oscillating_medium,
+    random_endpoints,
     random_medium,
     setting2_medium,
     setting3_medium,
@@ -92,3 +99,68 @@ def test_unverified_rows_are_nan(dx, dz):
     got = tof_batch(med, src, x, z)
     assert np.isnan(got[0])
     assert_batch_equals_scalar(med, src, x, z)
+
+
+def _same(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def _medium_and_source(name, seed):
+    rng = np.random.default_rng(seed)
+    med = {"random": lambda: random_medium(rng), "setting3": setting3_medium,
+           "oscillating": oscillating_medium}[name]()
+    lo, hi = med.domain
+    return rng, med, Point2(rng.uniform(lo, hi), rng.uniform(0.0, 5 * MM))
+
+
+@SETTINGS
+@given(st.sampled_from(["random", "setting3", "oscillating"]),
+       st.integers(0, 2**32 - 1))
+def test_rows_are_independent(name, seed):
+    # Every layer's targets go to the full stack, so the rows above the last
+    # interface fail their checks and mix NaN rows with verified ones.  On
+    # the oscillating interface some rows of a call halve their step while
+    # others take it whole, so each row must accept its own trial step.
+    rng, med, src = _medium_and_source(name, seed)
+    tx, tz = targets_in_every_layer(rng, med, per_layer=8)
+    ends = np.column_stack((np.full((tx.size, 2), (src.x, src.z)), tx, tz))
+    tof, ok = tof_rows(med, ends)
+    alone = [tof_rows(med, ends[i:i + 1]) for i in range(tx.size)]
+    assert _same(np.concatenate([t for t, _ in alone]), tof)
+    assert np.array_equal(np.concatenate([o for _, o in alone]), ok)
+    perm = rng.permutation(tx.size)
+    tof_p, ok_p = tof_rows(med, ends[perm])
+    assert _same(tof_p, tof[perm]) and np.array_equal(ok_p, ok[perm])
+    cut = int(rng.integers(1, tx.size))
+    (t1, o1), (t2, o2) = tof_rows(med, ends[:cut]), tof_rows(med, ends[cut:])
+    assert _same(np.concatenate((t1, t2)), tof)
+    assert np.array_equal(np.concatenate((o1, o2)), ok)
+
+
+@SETTINGS
+@given(st.sampled_from(["random", "setting3", "oscillating"]),
+       st.integers(0, 2**32 - 1))
+def test_batch_independent_of_block_size(name, seed):
+    rng, med, src = _medium_and_source(name, seed)
+    tx, tz = targets_in_every_layer(rng, med, per_layer=9)
+    want = tof_batch(med, src, tx, tz)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "_BLOCK_ROWS", 7)
+        assert _same(tof_batch(med, src, tx, tz), want)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batch_agrees_with_fermat_oracle(seed):
+    # Each target sits below the last interface of a 2-4 layer medium, so
+    # every crossing is in play; the oracle is independent of refraction.
+    rng = np.random.default_rng(seed)
+    med = random_medium(rng)
+    src, focus = random_endpoints(rng, med)
+    second = random_endpoints(rng, med)[1]
+    tx, tz = np.array([focus.x, second.x]), np.array([focus.z, second.z])
+    got = tof_batch(med, src, tx, tz)
+    assert np.all(np.isfinite(got))
+    for x, z, tof in zip(tx, tz, got):
+        ref = fermat_oracle(med, src, Point2(x, z), grid=1024)
+        assert abs(tof - ref.tof) <= max(ref.bound, 1e-9 * tof)
