@@ -53,9 +53,13 @@ def tof_batch(medium: Medium, src: Point2, tx, tz,
         idx = np.flatnonzero(layers == k)
         for start in range(0, idx.size, _BLOCK_ROWS):
             rows = idx[start:start + _BLOCK_ROWS]
-            ends = np.column_stack((np.full((rows.size, 2), (src.x, src.z)),
-                                    flat_x[rows], flat_z[rows]))
-            out[rows], ok = tof_rows(medium.truncated(k), ends, opts)
+            # tof_rows takes (rows, 4) and works on its (4, rows)
+            # transpose, so passing the transpose of a C-contiguous
+            # (4, rows) array spares it a copy.
+            ends = np.empty((4, rows.size))  # x0, z0, xN, zN
+            ends[0], ends[1] = src.x, src.z
+            ends[2], ends[3] = flat_x[rows], flat_z[rows]
+            out[rows], ok = tof_rows(medium.truncated(k), ends.T, opts)
             for i in rows[~ok]:
                 with suppress(GoatFocusError):  # a failed row keeps its NaN
                     out[i] = solve(medium, src,

@@ -328,6 +328,8 @@ def tof_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
     (x0, z0, xN, zN), every focus below the last interface: row Newton from
     the straight chords, then the checks of :func:`_verify_and_build`.
     Returns (tof, ok); rows that fail a check carry NaN and ok False.
+    The row Newton works on the (4, rows) transpose, so the transpose of a
+    C-contiguous float (4, rows) array is used without a copy.
     """
     ends = np.ascontiguousarray(np.transpose(ends), dtype=float)
     xs, _ = _newton_rows(medium, ends, _chord_rows(medium, ends), opts)

@@ -27,6 +27,8 @@ from .medium import Medium, Point2
 
 DB_FLOOR = -60.0
 _PULSE_SUPPORT_FLOOR = 1e-8  # envelope fraction treated as zero
+# Transmits per indexed add in synthesis; bounds its temporaries.
+_SYNTH_TX_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,12 @@ class Pulse:
 
 @dataclass(frozen=True)
 class ChannelDataSet:
-    """Full-synthetic-aperture traces: samples[tx, rx, time]."""
+    """Full-synthetic-aperture traces: samples[tx, rx, time].
+
+    Synthesis makes float64 samples; :func:`read_channels` returns the
+    stored float32 ones, which :func:`_das_sum` upcasts exactly, one trace
+    at a time.
+    """
 
     samples: np.ndarray
     sample_rate: float
@@ -139,24 +146,27 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
                 f"duration {duration:.3e} s does not cover the round trip "
                 f"plus pulse support ({t_max - t0:.3e} s)")
     samples = np.zeros((M, M, nt))
+    flat = samples.reshape(-1)  # a view: (tx, rx, time) flattened
     win = int(math.ceil(cut * sample_rate))
+    steps = np.arange(-win, win + 1)
     for k, (_, amp) in enumerate(scatterers):
-        for i in range(M):
-            ti = tofs[i, k]
-            if not np.isfinite(ti):
-                continue
-            for j in range(M):
-                tj = tofs[j, k]
-                if not np.isfinite(tj):
-                    continue
-                tau = ti + tj
-                center = (tau - t0) * sample_rate
-                a = max(0, int(math.ceil(center)) - win)
-                b = min(nt, int(math.floor(center)) + win + 1)
-                if a >= b:
-                    continue
-                tt = t0 + np.arange(a, b) / sample_rate - tau
-                samples[i, j, a:b] += amp * pulse(tt)
+        # The (tx, rx) windows of this scatterer, a block of transmits at a
+        # time: trace i, j covers samples ceil(c) - win ... floor(c) + win
+        # of c = (tau - t0) * fs, clipped to the trace.  Windows of one
+        # scatterer never share a sample, so one indexed add sums a block.
+        live = np.flatnonzero(np.isfinite(tofs[:, k]))
+        for start in range(0, live.size, _SYNTH_TX_ROWS):
+            tx = live[start:start + _SYNTH_TX_ROWS]
+            tau = (tofs[tx, k][:, None] + tofs[live, k][None, :])[..., None]
+            center = (tau - t0) * sample_rate
+            n = np.ceil(center).astype(np.int64) + steps
+            keep = (n >= 0) & (n < nt) & (
+                n <= np.floor(center).astype(np.int64) + win)
+            trace = (tx[:, None] * M + live[None, :])[..., None] * nt
+            n = n[keep]
+            tt = t0 + n / sample_rate - np.broadcast_to(tau, keep.shape)[keep]
+            flat[np.broadcast_to(trace, keep.shape)[keep] + n] += \
+                amp * pulse(tt)
     return ChannelDataSet(samples, sample_rate, t0, tuple(omitted))
 
 
@@ -182,18 +192,27 @@ def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray) -> np.ndarray:
     two-way delay with linear interpolation and sum over all pairs.
 
     ``idx_maps[m]`` holds (one-way delay * sample_rate) per pixel for element
-    m.  Symmetric channel sets are folded over unordered pairs.  The pixels
-    are split into one contiguous slice per worker of the
-    :func:`batch.set_max_workers` cap; every slice sums its pairs in the
+    m.  Symmetric channel sets are folded over unordered pairs.  The samples
+    may be float32, as :func:`read_channels` returns them; each pair's trace
+    is upcast to float64, which is exact.  The gather needs no mask: it
+    reads two zero-padded copies of the trace, ``left = [0, tr[:-1], 0]``
+    and ``right = [0, tr[1:], 0]``, at ``k = floor(t) + 1`` clipped to the
+    pads, so a delay outside [0, nt - 1) reads zeros.  The x2 weight of an
+    off-diagonal pair is folded into its pads (doubling is exact for normal
+    numbers).  The pixels are split into one contiguous slice per worker of
+    the :func:`batch.set_max_workers` cap; every slice sums its pairs in the
     same order, so the result does not depend on the worker count.
     """
     M = channels.n_elements
     nt = channels.n_samples
+    samples = channels.samples
     base = -channels.t0 * channels.sample_rate
     npix = idx_maps.shape[1]
     acc = np.zeros(npix)
-    symmetric = np.array_equal(channels.samples,
-                               channels.samples.swapaxes(0, 1))
+    # One transmit at a time: comparing the whole set at once would allocate
+    # a boolean array of its size, enough to raise a cold beamform's peak.
+    symmetric = all(np.array_equal(samples[i], samples[:, i])
+                    for i in range(M))
     if symmetric:
         pairs = [(i, j, 1.0 if i == j else 2.0)
                  for i in range(M) for j in range(i, M)]
@@ -202,15 +221,26 @@ def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray) -> np.ndarray:
 
     def run(px):
         maps, out = idx_maps[:, px], acc[px]  # views, not copies
+        t, f, g = np.empty((3, out.size))
+        k = np.empty(out.size, dtype=np.int64)
+        left, right = np.zeros((2, nt + 1))
         for i, j, weight in pairs:
-            t = maps[i] + maps[j] + base
-            i0 = np.floor(t).astype(np.int64)
-            valid = (i0 >= 0) & (i0 < nt - 1)
-            i0c = np.where(valid, i0, 0)
-            w = t - i0
-            tr = channels.samples[i, j]
-            vals = tr[i0c] * (1.0 - w) + tr[i0c + 1] * w
-            np.add(out, np.where(valid, vals, 0.0) * weight, out=out)
+            tr = samples[i, j]
+            np.multiply(tr[:-1], weight, out=left[1:-1], dtype=float)
+            np.multiply(tr[1:], weight, out=right[1:-1], dtype=float)
+            np.add(maps[i], maps[j], out=t)
+            t += base
+            np.floor(t, out=f)
+            np.copyto(k, f, casting="unsafe")
+            k += 1
+            t -= f  # the interpolation weight w
+            np.take(left, k, out=f, mode="clip")
+            np.subtract(1.0, t, out=g)
+            f *= g
+            np.take(right, k, out=g, mode="clip")
+            g *= t
+            f += g
+            out += f
 
     bounds = np.linspace(0, npix, batch.max_workers() + 1).astype(int)
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
@@ -235,9 +265,10 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     """
     gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
     if engine == "hmfa":
-        ex = array.xs[:, None, None]
-        ez = array.zs[:, None, None]
-        maps = np.hypot(gx[None] - ex, gz[None] - ez) / reference_speed
+        maps = np.empty((len(array),) + gx.shape)
+        for m, p in enumerate(array.element_positions):  # one at a time
+            np.hypot(gx - p.x, gz - p.z, out=maps[m])
+        maps /= reference_speed
     elif engine == "goat":
         if medium is None:
             raise ValueError("the goat engine requires a medium")
@@ -327,7 +358,8 @@ CHANNEL_MAGIC = b"GOATCD1\n"
 
 def write_channels(channels: ChannelDataSet, path, provenance: str = ""):
     """Binary channel format: magic, one JSON header line, then raw
-    little-endian float32 samples in (tx, rx, time) order."""
+    little-endian float32 samples in (tx, rx, time) order, cast and written
+    one transmit at a time."""
     header = {
         "n_tx": int(channels.samples.shape[0]),
         "n_rx": int(channels.samples.shape[1]),
@@ -340,10 +372,13 @@ def write_channels(channels: ChannelDataSet, path, provenance: str = ""):
     with open(path, "wb") as fh:
         fh.write(CHANNEL_MAGIC)
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        np.ascontiguousarray(channels.samples, dtype="<f4").tofile(fh)
+        for slab in channels.samples:  # one transmit at a time, no full copy
+            np.ascontiguousarray(slab, dtype="<f4").tofile(fh)
 
 
 def read_channels(path) -> ChannelDataSet:
+    """The channel set of :func:`write_channels`' format, its samples the
+    stored float32 values with no conversion (four bytes per sample)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHANNEL_MAGIC))
         if magic != CHANNEL_MAGIC:
@@ -351,8 +386,8 @@ def read_channels(path) -> ChannelDataSet:
         header = json.loads(fh.readline().decode())
         raw = np.fromfile(fh, dtype="<f4")
     shape = (header["n_tx"], header["n_rx"], header["n_samples"])
-    samples = raw.reshape(shape).astype(float)
-    return ChannelDataSet(samples, header["sample_rate_hz"], header["t0_s"])
+    return ChannelDataSet(raw.reshape(shape), header["sample_rate_hz"],
+                          header["t0_s"])
 
 
 def quantize_db_image(image: Image) -> np.ndarray:

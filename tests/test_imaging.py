@@ -41,6 +41,64 @@ def small_homog_setup():
     return med, arr, scat
 
 
+def masked_synthesis(tofs, amps, pulse, fs, nt, t0):
+    """The per-pair loop ``synthesize_channels`` replaced, kept as the
+    reference for its indexed adds."""
+    M = tofs.shape[0]
+    samples = np.zeros((M, M, nt))
+    win = int(math.ceil(pulse.support * fs))
+    for k, amp in enumerate(amps):
+        for i in range(M):
+            ti = tofs[i, k]
+            if not np.isfinite(ti):
+                continue
+            for j in range(M):
+                tj = tofs[j, k]
+                if not np.isfinite(tj):
+                    continue
+                tau = ti + tj
+                center = (tau - t0) * fs
+                a = max(0, int(math.ceil(center)) - win)
+                b = min(nt, int(math.floor(center)) + win + 1)
+                if a >= b:
+                    continue
+                tt = t0 + np.arange(a, b) / fs - tau
+                samples[i, j, a:b] += amp * pulse(tt)
+    return samples
+
+
+def masked_das_sum(channels, idx_maps):
+    """The masked gather ``_das_sum`` replaced, on float64 samples as the
+    old ``read_channels`` returned them; kept as the reference."""
+    samples = channels.samples.astype(float)
+    M, nt = channels.n_elements, channels.n_samples
+    base = -channels.t0 * channels.sample_rate
+    acc = np.zeros(idx_maps.shape[1])
+    if np.array_equal(samples, samples.swapaxes(0, 1)):
+        pairs = [(i, j, 1.0 if i == j else 2.0)
+                 for i in range(M) for j in range(i, M)]
+    else:
+        pairs = [(i, j, 1.0) for i in range(M) for j in range(M)]
+    for i, j, weight in pairs:
+        t = idx_maps[i] + idx_maps[j] + base
+        i0 = np.floor(t).astype(np.int64)
+        valid = (i0 >= 0) & (i0 < nt - 1)
+        i0c = np.where(valid, i0, 0)
+        w = t - i0
+        tr = samples[i, j]
+        vals = tr[i0c] * (1.0 - w) + tr[i0c + 1] * w
+        np.add(acc, np.where(valid, vals, 0.0) * weight, out=acc)
+    return acc
+
+
+@pytest.fixture
+def workers():
+    """Sets the worker cap for one test and restores it afterwards."""
+    saved = batch.max_workers()
+    yield batch.set_max_workers
+    batch.set_max_workers(saved)
+
+
 class TestPulse:
     def test_envelope_peak_at_zero(self):
         t = np.linspace(-1 * US, 1 * US, 2001)
@@ -108,6 +166,36 @@ class TestSynthesizeChannels:
         a = synthesize_channels(med, arr, s1, PULSE, FS, 60 * US)
         b = synthesize_channels(med, arr, s2, PULSE, FS, 60 * US)
         assert np.array_equal(both.samples, a.samples + b.samples)
+
+    @pytest.mark.parametrize("t0", [0.0, 1.5 * US])
+    def test_matches_per_pair_loop(self, t0):
+        # Hand-made ToFs: scatterer 0 sits so close that its windows are
+        # clipped at sample 0, scatterer 2 is the deepest and its windows
+        # run past the last sample, the windows of 1, 2 and 3 overlap in
+        # every trace, and element 2 has no path to scatterer 1.
+        M = 6
+        spread = np.linspace(0.0, 0.05 * US, M)
+        tofs = np.column_stack([t0 / 2 + 0.2 * US + spread,
+                                t0 / 2 + 9.5 * US + spread,
+                                t0 / 2 + 10.0015 * US + spread,
+                                t0 / 2 + 9.8 * US + spread])
+        tofs[2, 1] = np.nan
+        amps = [1.0, 0.7, -0.4, 1.3]
+        duration = 2.0 * np.nanmax(tofs) + PULSE.support - t0
+        nt = int(round(duration * FS))
+        win = int(math.ceil(PULSE.support * FS))
+        center = (2.0 * tofs - t0) * FS  # diagonal pairs
+        assert np.nanmin(np.ceil(center)) - win < 0
+        assert np.nanmax(np.floor(center)) + win + 1 > nt
+        assert np.nanmax(np.ptp(center[:, 1:], axis=1)) < 2 * win
+        arr = linear_array(M, 1.0 * MM)
+        scat = [(Point2(0.0, (k + 1) * MM), a) for k, a in enumerate(amps)]
+        ch = synthesize_channels(homogeneous_medium(), arr, scat, PULSE, FS,
+                                 duration, t0, tofs=tofs)
+        want = masked_synthesis(tofs, amps, PULSE, FS, nt, t0)
+        assert ch.samples.shape == want.shape
+        assert np.array_equal(ch.samples, want)
+        assert ch.omitted == ((2, 1, "no refracted path"),)
 
     def test_duration_must_cover_round_trip(self):
         med, arr, scat = small_homog_setup()
@@ -230,6 +318,50 @@ class TestDasBeamform:
             batch.set_max_workers(workers)
 
 
+class TestDasGather:
+    """``_das_sum`` against the masked gather it replaced, bit for bit."""
+
+    NT = 64
+
+    def delays(self, rng, M):
+        # Pixels where every element has the same one-way delay v, so that
+        # every pair reads the trace at t = 2v: below 0, in [nt-2, nt-1),
+        # exactly nt-1 and beyond nt; then random delays across the trace.
+        nt = self.NT
+        edge = np.array([-7.3, -1.0, -1e-9, 0.0, 1e-9, 0.5, nt - 2.0,
+                         nt - 1.5, nt - 1.0 - 1e-9, nt - 1.0, nt - 1.0 + 1e-9,
+                         nt - 0.5, nt, nt + 0.25, nt + 40.0]) / 2.0
+        spread = rng.uniform(-4.0, (nt + 4.0) / 2.0, (M, 301))
+        return np.hstack([np.tile(edge, (M, 1)), spread])
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_matches_masked_gather(self, rng, workers, n_workers, dtype,
+                                   symmetric):
+        M = 5
+        raw = rng.standard_normal((M, M, self.NT))
+        if symmetric:
+            raw = raw + raw.swapaxes(0, 1)
+        ch = ChannelDataSet(raw.astype(dtype), FS)
+        assert np.array_equal(ch.samples, ch.samples.swapaxes(0, 1)) \
+            == symmetric
+        idx = self.delays(rng, M)
+        workers(n_workers)
+        got = _das_sum(ch, idx)
+        assert np.array_equal(got, masked_das_sum(ch, idx))
+        # The edge pixels read zeros outside [0, nt - 1) and only there.
+        assert np.all(got[[0, 1, 2, 9, 10, 11, 12, 13, 14]] == 0.0)
+        assert np.all(got[[3, 4, 5, 6, 7, 8]] != 0.0)
+
+    def test_matches_masked_gather_with_t0(self, rng):
+        # A non-zero t0 shifts every delay by a non-integer base.
+        ch = ChannelDataSet(rng.standard_normal((3, 3, self.NT))
+                            .astype(np.float32), FS, t0=0.37 / FS)
+        idx = self.delays(rng, 3)
+        assert np.array_equal(_das_sum(ch, idx), masked_das_sum(ch, idx))
+
+
 class TestBeamProfile:
     def test_gaussian_ridge_fwhm(self):
         # Synthetic dB image holding a Gaussian ridge of known width.
@@ -272,6 +404,29 @@ class TestFileFormats:
         assert np.max(np.abs(back.samples - ch.samples)) <= 1e-6
         with open(path, "rb") as fh:
             assert fh.read(8) == b"GOATCD1\n"
+
+    def test_float64_and_float32_sets_write_same_bytes(self, rng, tmp_path):
+        samples = rng.standard_normal((3, 3, 50))
+        for name, s in (("f8", samples), ("f4", samples.astype(np.float32))):
+            write_channels(ChannelDataSet(s, FS, 2e-6), tmp_path / name, "p")
+        assert (tmp_path / "f8").read_bytes() == (tmp_path / "f4").read_bytes()
+
+    def test_read_returns_stored_float32(self, rng, tmp_path):
+        samples = rng.standard_normal((3, 3, 50))
+        path = tmp_path / "ch.goatcd"
+        write_channels(ChannelDataSet(samples, FS, 2e-6), path)
+        back = read_channels(path)
+        assert back.samples.dtype == np.float32
+        assert np.array_equal(back.samples, samples.astype(np.float32))
+        assert (back.sample_rate, back.t0) == (FS, 2e-6)
+
+    def test_read_write_byte_identical(self, tmp_path):
+        med, arr, scat = small_homog_setup()
+        ch = synthesize_channels(med, arr, scat, PULSE, FS, 60 * US, 1e-6)
+        first, second = tmp_path / "a.goatcd", tmp_path / "b.goatcd"
+        write_channels(ch, first, provenance="test")
+        write_channels(read_channels(first), second, provenance="test")
+        assert first.read_bytes() == second.read_bytes()
 
     def test_p5_layout(self, tmp_path):
         grid = ImageGrid.from_extent(0.0, 3 * MM, 0.0, 2 * MM, 1 * MM)
