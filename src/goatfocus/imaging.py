@@ -163,10 +163,8 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
             keep = (n >= 0) & (n < nt) & (
                 n <= np.floor(center).astype(np.int64) + win)
             trace = (tx[:, None] * M + live[None, :])[..., None] * nt
-            n = n[keep]
-            tt = t0 + n / sample_rate - np.broadcast_to(tau, keep.shape)[keep]
-            flat[np.broadcast_to(trace, keep.shape)[keep] + n] += \
-                amp * pulse(tt)
+            tt = (t0 + n / sample_rate - tau)[keep]
+            flat[(trace + n)[keep]] += amp * pulse(tt)
     return ChannelDataSet(samples, sample_rate, t0, tuple(omitted))
 
 
