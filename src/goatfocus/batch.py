@@ -21,20 +21,6 @@ from .medium import Medium, Point2
 # Rows per row-Newton call; bounds the size of its working arrays.
 _BLOCK_ROWS = 16384
 
-# Worker cap for per-source map evaluation; set from the CLI --threads flag.
-_max_workers = 1
-
-
-def set_max_workers(n: int | None):
-    global _max_workers
-    _max_workers = max(1, int(n)) if n else 1
-
-
-def max_workers() -> int:
-    """The worker cap set by :func:`set_max_workers`."""
-    return _max_workers
-
-
 def tof_batch(medium: Medium, src: Point2, tx, tz,
               opts: SolverOptions = SolverOptions()):
     """Times of flight from ``src`` to every target (tx[i], tz[i]).
@@ -68,12 +54,13 @@ def tof_batch(medium: Medium, src: Point2, tx, tz,
 
 
 def tof_maps(medium: Medium, sources, tx, tz,
-             opts: SolverOptions = SolverOptions()) -> np.ndarray:
+             opts: SolverOptions = SolverOptions(),
+             workers: int = 1) -> np.ndarray:
     """Stacked ToF maps, one per source: shape (len(sources),) + tx.shape.
 
-    Sources are independent; they are evaluated on a pool of up to the
-    worker cap threads writing to disjoint slots (bit-identical to the
-    serial order regardless of worker count).
+    Sources are independent; they are evaluated on a pool of ``workers``
+    threads writing to disjoint slots (bit-identical to the serial order
+    regardless of worker count).
     """
     sources = list(sources)
     out = np.empty((len(sources),) + np.asarray(tx).shape, dtype=float)
@@ -81,6 +68,6 @@ def tof_maps(medium: Medium, sources, tx, tz,
     def run(i):
         out[i] = tof_batch(medium, sources[i], tx, tz, opts)
 
-    with ThreadPoolExecutor(max_workers=_max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run, range(len(sources))))
     return out

@@ -55,10 +55,17 @@ from .imaging import (
     write_profile_csv,
 )
 from .medium import Point2
-from .scenario import Scenario, fixture_names, load
+from .scenario import Scenario, fixture_names, load, require_first_layer
 
-_PHYSICS_ERRORS = (TotalReflectionError, NoIntersectionError, NoBracketError,
-                   DegenerateSegmentError, DegenerateDenominatorError)
+# Exit code of each error main() reports, tried in order.
+_EXIT_CODES = {
+    ScenarioError: 2,
+    NonConvergenceError: 3,
+    TotalReflectionError: 4, NoIntersectionError: 4, NoBracketError: 4,
+    DegenerateSegmentError: 4, DegenerateDenominatorError: 4,
+    RoiError: 2,
+    OSError: 5,
+}
 
 
 def _parse_point(text: str, scn: Scenario, kind: str) -> Point2:
@@ -83,7 +90,9 @@ def _parse_point(text: str, scn: Scenario, kind: str) -> Point2:
 
 def _pick_source(args, scn: Scenario) -> Point2:
     if args.source is not None:
-        return _parse_point(args.source, scn, "--source")
+        p = _parse_point(args.source, scn, "--source")
+        require_first_layer(scn.medium, p, "--source")
+        return p
     if not scn.sources:
         raise ScenarioError("scenario has no sources and --source not given")
     return scn.sources[0]
@@ -163,7 +172,7 @@ def cmd_check(args) -> int:
         chord = initial_guess_straight(med, p0, pN)
         chord_pts = [p0] + [Point2(float(x), float(b._eval(x)))
                             for x, b in zip(chord, med.boundaries)] + [pN]
-    except (NoIntersectionError, GoatFocusError):
+    except GoatFocusError:
         chord_pts = None
 
     sol = None
@@ -282,7 +291,7 @@ def cmd_beamform(args) -> int:
         sx = np.array([p.x for p, _ in scn.imaging.scatterers])
         sz = np.array([p.z for p, _ in scn.imaging.scatterers])
         tofs = batch.tof_maps(scn.medium, scn.array.element_positions, sx, sz,
-                              scn.solver)
+                              scn.solver, workers=args.threads)
         cut = scn.pulse.support
         t0 = max(0.0, math.floor((2.0 * float(np.nanmin(tofs)) - 2 * cut) * fs) / fs)
         duration = 2.0 * float(np.nanmax(tofs)) + 2 * cut - t0 + 16 / fs
@@ -295,7 +304,7 @@ def cmd_beamform(args) -> int:
     # runs produce byte-identical artifacts.
     channels = read_channels(ch_path)
     img = das_beamform(channels, scn.medium, scn.array, scn.imaging.grid,
-                       args.engine, opts=scn.solver)
+                       args.engine, opts=scn.solver, workers=args.threads)
     image_path = f"{prefix}_{args.engine}.pgm"
     write_p5(img, image_path, provenance=scn.provenance)
     write_image_metadata(img, f"{prefix}_{args.engine}.json", args.engine,
@@ -327,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Refraction-corrected focusing in known layered media.")
     parser.add_argument("--version", action="version",
                         version=f"goatfocus {__version__}")
-    parser.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker cap for batched evaluations "
-                             "(results are independent of this)")
+    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                        help="worker threads for ToF maps and delay-and-sum, "
+                             "at least 1 (results are independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):
@@ -382,34 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    batch.set_max_workers(args.threads)
     try:
+        if args.threads < 1:
+            raise ScenarioError(f"--threads must be at least 1, got "
+                                f"{args.threads}")
         return args.fn(args)
-    except ScenarioError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, sort_keys=True)
+    except tuple(_EXIT_CODES) as exc:
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NonConvergenceError):
+            report["iterations"] = exc.iterations
+        json.dump(report, sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
-        return 2
-    except NonConvergenceError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc),
-                   "iterations": exc.iterations}, sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 3
-    except _PHYSICS_ERRORS as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 4
-    except RoiError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
-    except OSError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 5
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy import fft
 
-from . import batch
 from .batch import tof_maps
 from .errors import RoiError
 from .focusing import ElementArray
@@ -185,7 +184,8 @@ def envelope(trace) -> np.ndarray:
     return np.abs(fft.ifft(fft.fft(trace, axis=-1) * h, axis=-1))
 
 
-def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray) -> np.ndarray:
+def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray,
+             workers: int = 1) -> np.ndarray:
     """Delay-and-sum accumulation: for every pixel, gather each trace at the
     two-way delay with linear interpolation and sum over all pairs.
 
@@ -197,9 +197,9 @@ def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray) -> np.ndarray:
     and ``right = [0, tr[1:], 0]``, at ``k = floor(t) + 1`` clipped to the
     pads, so a delay outside [0, nt - 1) reads zeros.  The x2 weight of an
     off-diagonal pair is folded into its pads (doubling is exact for normal
-    numbers).  The pixels are split into one contiguous slice per worker of
-    the :func:`batch.set_max_workers` cap; every slice sums its pairs in the
-    same order, so the result does not depend on the worker count.
+    numbers).  The pixels are split into one contiguous slice for each of
+    the ``workers`` threads; every slice sums its pairs in the same order,
+    so the result does not depend on the worker count.
     """
     M = channels.n_elements
     nt = channels.n_samples
@@ -240,7 +240,7 @@ def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray) -> np.ndarray:
             f += g
             out += f
 
-    bounds = np.linspace(0, npix, batch.max_workers() + 1).astype(int)
+    bounds = np.linspace(0, npix, workers + 1).astype(int)
     with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
         list(pool.map(run, [slice(a, b) for a, b in zip(bounds, bounds[1:])]))
     return acc
@@ -250,7 +250,8 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
                  array: ElementArray, grid: ImageGrid, engine: str,
                  scale: str = "db",
                  opts: SolverOptions = SolverOptions(),
-                 reference_speed: float = 1540.0) -> Image:
+                 reference_speed: float = 1540.0,
+                 workers: int = 1) -> Image:
     """Delay-and-sum image over the pixel grid.
 
     Per pixel, every (tx, rx) trace is sampled at the two-way delay under
@@ -259,7 +260,8 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     applies the per-column envelope and dB compression with the peak at
     exactly 0 dB and a -60 dB display floor.  Pixels whose delays failed are
     absent: NaN in linear scale, floor value in dB, excluded from the
-    normalization.
+    normalization.  ``workers`` threads share the goat ToF maps and the
+    delay-and-sum; the image does not depend on their number.
     """
     gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
     if engine == "hmfa":
@@ -270,7 +272,8 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     elif engine == "goat":
         if medium is None:
             raise ValueError("the goat engine requires a medium")
-        maps = tof_maps(medium, array.element_positions, gx, gz, opts)
+        maps = tof_maps(medium, array.element_positions, gx, gz, opts,
+                        workers=workers)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     nz, nx = gx.shape
@@ -279,7 +282,7 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     bad = ~np.isfinite(flat)
     absent = np.any(bad, axis=0)
     flat[bad] = 0.0
-    raw = _das_sum(channels, flat).reshape(nz, nx)
+    raw = _das_sum(channels, flat, workers).reshape(nz, nx)
     absent = absent.reshape(nz, nx)
     if scale == "linear":
         out = raw.copy()

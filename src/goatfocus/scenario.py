@@ -81,6 +81,15 @@ def _point(v, scale, where) -> Point2:
     return Point2(_number(v[0], where) * scale, _number(v[1], where) * scale)
 
 
+def require_first_layer(medium: Medium, p: Point2, where: str):
+    """Raise :class:`ScenarioError` unless p lies in the first layer: the
+    solvers send every ray down from a source above the first interface."""
+    layer = medium.layer_of(p)
+    if layer != 1:
+        raise ScenarioError(f"{where}: ({p.x:.9g}, {p.z:.9g}) m lies in "
+                            f"layer {layer}, below the first interface")
+
+
 def _boundary(spec, scale, domain, where):
     _require_keys(spec, {"kind"}, {"depth", "slope", "intercept", "a", "b",
                                    "center", "sign", "x", "z"}, where)
@@ -146,6 +155,8 @@ def loads(text: str | bytes) -> Scenario:
 
     sources = tuple(_point(p, scale, f"sources[{i}]")
                     for i, p in enumerate(doc["sources"]))
+    for i, p in enumerate(sources):
+        require_first_layer(medium, p, f"sources[{i}]")
     foci = tuple(_point(p, scale, f"foci[{i}]")
                  for i, p in enumerate(doc["foci"]))
 
@@ -159,6 +170,8 @@ def loads(text: str | bytes) -> Scenario:
         array = linear_array(n, _number(spec["pitch"], "array") * scale,
                              _number(spec.get("center_x", 0.0), "array") * scale,
                              _number(spec.get("z", 0.0), "array") * scale)
+        for i, p in enumerate(array.element_positions):
+            require_first_layer(medium, p, f"array element {i}")
 
     pulse = None
     if "pulse" in doc:

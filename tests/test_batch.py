@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from goatfocus.batch import tof_batch, tof_maps, set_max_workers
+from goatfocus.batch import tof_batch, tof_maps
 from goatfocus.goatsolve import hmfa_tof, solve
 from goatfocus.medium import Point2
 
@@ -77,9 +77,5 @@ class TestTofMaps:
         gx, gz = np.meshgrid(np.linspace(-8 * MM, 8 * MM, 16),
                              np.linspace(10 * MM, 30 * MM, 16), indexing="xy")
         serial = tof_maps(med, sources, gx, gz)
-        set_max_workers(4)
-        try:
-            threaded = tof_maps(med, sources, gx, gz)
-        finally:
-            set_max_workers(1)
+        threaded = tof_maps(med, sources, gx, gz, workers=4)
         assert np.array_equal(serial, threaded)

@@ -1,8 +1,11 @@
 """Scenario schema strictness and end-to-end CLI behavior (exit codes,
 artifact determinism)."""
 
+import ast
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib.resources import files
@@ -12,8 +15,18 @@ import numpy as np
 import pytest
 
 import goatfocus
+from goatfocus import cli
 from goatfocus.cli import main
-from goatfocus.errors import ScenarioError
+from goatfocus.errors import (
+    DegenerateDenominatorError,
+    DegenerateSegmentError,
+    NoBracketError,
+    NoIntersectionError,
+    NonConvergenceError,
+    RoiError,
+    ScenarioError,
+    TotalReflectionError,
+)
 from goatfocus.scenario import fixture_names, load, loads
 
 
@@ -77,6 +90,17 @@ class TestScenarioSchema:
         with pytest.raises(ScenarioError, match="invalid medium"):
             loads(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("sources", [[5.0, 2.0], [5.0, 25.0]], "sources[1]"),
+        ("array", {"num_elements": 4, "pitch": 0.5, "center_x": 20.0,
+                   "z": 21.0}, "array element 0"),
+    ])
+    def test_point_below_first_interface_rejected(self, key, value, where):
+        doc = dict(MINIMAL, **{key: value})
+        with pytest.raises(ScenarioError,
+                           match=re.escape(where) + r": .* in layer 2,"):
+            loads(json.dumps(doc))
+
     def test_fixture_names_available(self):
         names = fixture_names()
         for expected in ("setting1", "setting2", "setting3", "table2_setting1",
@@ -121,6 +145,34 @@ class TestCmdSolve:
         rep = json.loads(out)
         assert rep["source_m"][1] == 0.0
 
+    @pytest.mark.parametrize("scenario, source, focus", [
+        # Under setting3's 2200 m/s cover, where a straight chord at the
+        # first layer's speed would pass for a ToF.
+        ("setting3", "18,90", "18,1"),
+        # Under proxon's interface, where "no bracket" is not the cause.
+        ("proxon", "0,20", "0,30"),
+    ])
+    def test_source_below_first_interface_exit_2(self, capsys, scenario,
+                                                 source, focus):
+        code, out, err = run(capsys, "solve", "--scenario", scenario,
+                             "--source", source, "--focus", focus)
+        assert code == 2
+        assert out == ""
+        rep = json.loads(err)
+        assert rep["error"] == "ScenarioError"
+        assert rep["message"].startswith("--source: ")
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        code, out, err = run(capsys, "--threads", threads, "solve",
+                             "--scenario", "proxon", "--source", "0",
+                             "--focus", "5,30")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "ScenarioError",
+            "message": f"--threads must be at least 1, got {threads}"}
+
     def test_unknown_fixture_exit_2(self, capsys):
         code, _, err = run(capsys, "solve", "--scenario", "nonexistent")
         assert code == 2
@@ -147,6 +199,29 @@ class TestCmdSolve:
                            "--engine", "hmfa",
                            "--out", "/nonexistent-dir/delays.csv")
         assert code == 5
+
+    @pytest.mark.parametrize("exc, code, extra", [
+        (ScenarioError("bad"), 2, {}),
+        (NonConvergenceError("slow", iterations=7), 3, {"iterations": 7}),
+        (TotalReflectionError("tir"), 4, {}),
+        (NoIntersectionError("miss"), 4, {}),
+        (NoBracketError("flat"), 4, {}),
+        (DegenerateSegmentError("short"), 4, {}),
+        (DegenerateDenominatorError("zero"), 4, {}),
+        (RoiError("roi"), 2, {}),
+        (FileNotFoundError(2, "gone"), 5, {}),
+    ])
+    def test_error_exit_codes(self, capsys, monkeypatch, exc, code, extra):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_solve", fail)
+        got, out, err = run(capsys, "solve", "--scenario", "setting1")
+        assert got == code
+        assert out == ""
+        assert err == json.dumps({"error": type(exc).__name__,
+                                  "message": str(exc), **extra},
+                                 sort_keys=True) + "\n"
 
     def test_global_seed_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -362,6 +437,37 @@ class TestCmdBeamform:
             images.append((tmp_path / f"t{threads}_goat.pgm").read_bytes())
         assert images[0] == images[1]
 
+    def test_threads_reach_every_pool(self, capsys, tmp_path, monkeypatch):
+        # A dropped worker count runs serial with the same output, which no
+        # byte comparison catches; record what each pool is given instead.
+        import goatfocus.batch
+        import goatfocus.imaging
+        seen = []
+
+        def record(module, name):
+            real = getattr(module, name)
+            sig = inspect.signature(real)
+
+            def wrapper(*args, **kwargs):
+                bound = sig.bind(*args, **kwargs)
+                bound.apply_defaults()
+                seen.append((f"{module.__name__}.{name}",
+                             bound.arguments["workers"]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        record(goatfocus.batch, "tof_maps")
+        record(goatfocus.imaging, "tof_maps")
+        record(goatfocus.imaging, "_das_sum")
+        code, _, _ = run(capsys, "--threads", "3", "beamform", "--scenario",
+                         "homogeneous", "--engine", "goat",
+                         "--out", str(tmp_path / "bf"))
+        assert code == 0
+        assert seen == [("goatfocus.batch.tof_maps", 3),
+                        ("goatfocus.imaging.tof_maps", 3),
+                        ("goatfocus.imaging._das_sum", 3)]
+
     def test_metadata_and_profiles_written(self, capsys, tmp_path):
         prefix = str(tmp_path / "bf")
         code, out, _ = run(capsys, "beamform", "--scenario", "homogeneous",
@@ -381,3 +487,14 @@ def test_cli_import_does_not_load_scipy():
          "import sys, goatfocus.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_has_no_global_statements():
+    # A function that rebinds module state changes every later caller in the
+    # process; settings such as the worker count are passed as arguments.
+    root = Path(goatfocus.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []

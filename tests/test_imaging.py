@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-from goatfocus import batch
 from goatfocus.errors import RoiError
 from goatfocus.focusing import linear_array
 from goatfocus.imaging import (
@@ -89,14 +88,6 @@ def masked_das_sum(channels, idx_maps):
         vals = tr[i0c] * (1.0 - w) + tr[i0c + 1] * w
         np.add(acc, np.where(valid, vals, 0.0) * weight, out=acc)
     return acc
-
-
-@pytest.fixture
-def workers():
-    """Sets the worker cap for one test and restores it afterwards."""
-    saved = batch.max_workers()
-    yield batch.set_max_workers
-    batch.set_max_workers(saved)
 
 
 class TestPulse:
@@ -305,17 +296,14 @@ class TestDasBeamform:
         # interval interleaves the workers as often as possible.
         ch = ChannelDataSet(rng.standard_normal((4, 4, 200)), FS)
         idx = rng.uniform(-5.0, 110.0, (4, 1001))
-        workers, switch = batch.max_workers(), sys.getswitchinterval()
+        ref = _das_sum(ch, idx, workers=1)
+        switch = sys.getswitchinterval()
         try:
-            batch.set_max_workers(1)
-            ref = _das_sum(ch, idx)
             sys.setswitchinterval(1e-6)
             for n in (2, 5):
-                batch.set_max_workers(n)
-                assert np.array_equal(_das_sum(ch, idx), ref)
+                assert np.array_equal(_das_sum(ch, idx, workers=n), ref)
         finally:
             sys.setswitchinterval(switch)
-            batch.set_max_workers(workers)
 
 
 class TestDasGather:
@@ -337,8 +325,7 @@ class TestDasGather:
     @pytest.mark.parametrize("n_workers", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_matches_masked_gather(self, rng, workers, n_workers, dtype,
-                                   symmetric):
+    def test_matches_masked_gather(self, rng, n_workers, dtype, symmetric):
         M = 5
         raw = rng.standard_normal((M, M, self.NT))
         if symmetric:
@@ -347,8 +334,7 @@ class TestDasGather:
         assert np.array_equal(ch.samples, ch.samples.swapaxes(0, 1)) \
             == symmetric
         idx = self.delays(rng, M)
-        workers(n_workers)
-        got = _das_sum(ch, idx)
+        got = _das_sum(ch, idx, workers=n_workers)
         assert np.array_equal(got, masked_das_sum(ch, idx))
         # The edge pixels read zeros outside [0, nt - 1) and only there.
         assert np.all(got[[0, 1, 2, 9, 10, 11, 12, 13, 14]] == 0.0)
