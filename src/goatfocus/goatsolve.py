@@ -259,16 +259,19 @@ def _newton_rows(medium: Medium, ends, xs, opts: SolverOptions):
     """
     lo, hi = medium.domain[0] + 1e-12, medium.domain[1] - 1e-12
     xs = np.array(xs, dtype=float)
-    fn = np.max(np.abs(_chain(medium, ends, xs)[-1]), axis=0)
+    chain = _chain(medium, ends, xs)  # the first step reuses it
+    fn = np.max(np.abs(chain[-1]), axis=0)
     iterations = np.zeros(xs.shape[1], dtype=int)
     active = np.isfinite(fn)
-    for _ in range(opts.max_newton_iters):
+    for it in range(opts.max_newton_iters):
         active &= fn > opts.tol_residual
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         x_r, e_r = xs[:, rows], ends[:, rows]
-        delta = _newton_step(medium, x_r, _chain(medium, e_r, x_r))
+        chain = ([a[:, rows] for a in chain] if it == 0
+                 else _chain(medium, e_r, x_r))
+        delta = _newton_step(medium, x_r, chain)
         iterations[rows] += 1
         alpha = 1.0
         for _bt in range(opts.max_backtracks + 1):

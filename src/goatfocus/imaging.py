@@ -22,12 +22,18 @@ from .batch import tof_maps
 from .errors import RoiError
 from .focusing import ElementArray
 from .goatsolve import SolverOptions
-from .medium import Medium, Point2
+from .medium import Constant, Medium, Point2
 
 DB_FLOOR = -60.0
 _PULSE_SUPPORT_FLOOR = 1e-8  # envelope fraction treated as zero
 # Transmits per indexed add in synthesis; bounds its temporaries.
 _SYNTH_TX_ROWS = 8
+# Lateral offsets (pixel - element) within this fraction of the pixel
+# spacing share a column of the flat-medium ToF table.
+_OFFSET_TOL = 1e-9
+# The table replaces the per-element maps only if it cuts the solves at
+# least this many times.
+_MIN_TABLE_CUT = 4
 
 
 @dataclass(frozen=True)
@@ -246,6 +252,52 @@ def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray,
     return acc
 
 
+def _shared_tof_maps(medium: Medium, sources, grid: ImageGrid,
+                     opts: SolverOptions = SolverOptions(),
+                     workers: int = 1) -> np.ndarray:
+    """ToF maps from every source to every pixel, (len(sources), nz, nx).
+
+    Through flat (:class:`Constant`) interfaces, the ToF from a source at
+    (x_s, z_s) to a pixel (x, z) depends only on (x - x_s, z).  So when
+    every source has the same z_s, the offsets x - x_s of all (source,
+    pixel column) pairs are grouped to within ``_OFFSET_TOL`` of the pixel
+    spacing, one :func:`tof_maps` call solves a table over (distinct
+    offsets x grid rows) from a source at the middle of the lateral
+    domain, and each map is gathered from it.  The maps are solved one per
+    source instead when an interface is not flat, the sources do not share
+    one z, a source, a pixel or a translated target lies outside the
+    lateral domain, or the table would not cut the solves
+    ``_MIN_TABLE_CUT`` times; and in a medium of one speed, where
+    :func:`tof_maps` gives the straight rays in closed form, bit-identical
+    to the hmfa engine's.
+    """
+    sources = list(sources)
+    lo, hi = medium.domain
+    mid = 0.5 * (lo + hi)
+    if (len(set(medium.speeds)) > 1 and grid.x.size > 1
+            and all(isinstance(b, Constant) for b in medium.boundaries)
+            and len({p.z for p in sources}) == 1):
+        xs = np.array([p.x for p in sources])
+        off = grid.x[None, :] - xs[:, None]
+        tol = _OFFSET_TOL * abs(grid.x[1] - grid.x[0])
+        _, first, inv = np.unique(np.round(off / tol), return_index=True,
+                                  return_inverse=True)
+        cols = mid + off.reshape(-1)[first]
+        lateral = np.concatenate((xs, grid.x, cols))
+        if (_MIN_TABLE_CUT * cols.size <= off.size
+                and lo <= lateral.min() and lateral.max() <= hi):
+            tx, tz = np.meshgrid(cols, grid.z, indexing="xy")
+            table = tof_maps(medium, [Point2(mid, sources[0].z)], tx, tz,
+                             opts, workers=workers)[0]
+            maps = np.empty((len(sources), grid.z.size, grid.x.size))
+            # The indices are in range; "clip" spares np.take a buffer.
+            for m, idx in enumerate(inv.reshape(off.shape)):
+                np.take(table, idx, axis=1, out=maps[m], mode="clip")
+            return maps
+    gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
+    return tof_maps(medium, sources, gx, gz, opts, workers=workers)
+
+
 def das_beamform(channels: ChannelDataSet, medium: Medium | None,
                  array: ElementArray, grid: ImageGrid, engine: str,
                  scale: str = "db",
@@ -260,23 +312,29 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     applies the per-column envelope and dB compression with the peak at
     exactly 0 dB and a -60 dB display floor.  Pixels whose delays failed are
     absent: NaN in linear scale, floor value in dB, excluded from the
-    normalization.  ``workers`` threads share the goat ToF maps and the
+    normalization.  The goat ToF maps come from :func:`_shared_tof_maps`:
+    in a medium of flat interfaces, with every element at one depth, one
+    ToF table over (pixel - element lateral offsets x grid rows) serves
+    every element.  Each element's map is solved on its own when an
+    interface is not flat, the elements do not share one depth, a pixel,
+    an element or a translated target lies outside the lateral domain, the
+    table would not cut the solves ``_MIN_TABLE_CUT`` times, or the medium
+    has one speed.  ``workers`` threads share the ToF solves and the
     delay-and-sum; the image does not depend on their number.
     """
-    gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
+    nz, nx = grid.z.size, grid.x.size
     if engine == "hmfa":
-        maps = np.empty((len(array),) + gx.shape)
+        maps = np.empty((len(array), nz, nx))
         for m, p in enumerate(array.element_positions):  # one at a time
-            np.hypot(gx - p.x, gz - p.z, out=maps[m])
+            np.hypot(grid.x - p.x, grid.z[:, None] - p.z, out=maps[m])
         maps /= reference_speed
     elif engine == "goat":
         if medium is None:
             raise ValueError("the goat engine requires a medium")
-        maps = tof_maps(medium, array.element_positions, gx, gz, opts,
-                        workers=workers)
+        maps = _shared_tof_maps(medium, array.element_positions, grid, opts,
+                                workers)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    nz, nx = gx.shape
     flat = maps.reshape(len(array), -1)
     flat *= channels.sample_rate
     bad = ~np.isfinite(flat)

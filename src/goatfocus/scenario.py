@@ -22,6 +22,7 @@ from .focusing import ElementArray, linear_array
 from .goatsolve import SolverOptions
 from .imaging import ImageGrid, Pulse
 from .medium import (
+    _DOMAIN_SLACK,
     Constant,
     Ellipse,
     Linear,
@@ -82,12 +83,18 @@ def _point(v, scale, where) -> Point2:
 
 
 def require_first_layer(medium: Medium, p: Point2, where: str):
-    """Raise :class:`ScenarioError` unless p lies in the first layer: the
-    solvers send every ray down from a source above the first interface."""
+    """Raise :class:`ScenarioError` unless p lies in the first layer, above
+    the first interface: the solvers send every ray down from such a
+    source.  A point on the interface (within ``_DOMAIN_SLACK``, where
+    :meth:`Medium.layer_of` counts it in the layer above) has no first
+    segment, and is rejected too."""
     layer = medium.layer_of(p)
     if layer != 1:
         raise ScenarioError(f"{where}: ({p.x:.9g}, {p.z:.9g}) m lies in "
                             f"layer {layer}, below the first interface")
+    if p.z >= medium.boundaries[0]._eval(p.x) - _DOMAIN_SLACK:
+        raise ScenarioError(f"{where}: ({p.x:.9g}, {p.z:.9g}) m lies on "
+                            "the first interface")
 
 
 def _boundary(spec, scale, domain, where):

@@ -101,6 +101,19 @@ class TestScenarioSchema:
                            match=re.escape(where) + r": .* in layer 2,"):
             loads(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("sources", [[5.0, 2.0], [5.0, 20.0]], "sources[1]"),
+        ("array", {"num_elements": 4, "pitch": 0.5, "center_x": 20.0,
+                   "z": 20.0}, "array element 0"),
+    ])
+    def test_point_on_first_interface_rejected(self, key, value, where):
+        # Medium.layer_of counts an interface point in the layer above, but
+        # no ray can start there.
+        doc = dict(MINIMAL, **{key: value})
+        with pytest.raises(ScenarioError, match=re.escape(where)
+                           + r": .* lies on the first interface$"):
+            loads(json.dumps(doc))
+
     def test_fixture_names_available(self):
         names = fixture_names()
         for expected in ("setting1", "setting2", "setting3", "table2_setting1",
@@ -161,6 +174,19 @@ class TestCmdSolve:
         rep = json.loads(err)
         assert rep["error"] == "ScenarioError"
         assert rep["message"].startswith("--source: ")
+
+    def test_source_on_first_interface_exit_2(self, capsys):
+        code, out, err = run(capsys, "solve", "--scenario", "proxon",
+                             "--source", "0,9", "--focus", "5,30")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "ScenarioError",
+            "message": "--source: (0, 0.009) m lies on the first interface"}
+        # 0.1 nm above the interface is still a source.
+        code, out, _ = run(capsys, "solve", "--scenario", "proxon",
+                           "--source", "0,8.9999999", "--focus", "5,30")
+        assert code == 0
+        assert json.loads(out)["tof_s"] == pytest.approx(1.40176e-5, rel=1e-5)
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_exit_2(self, capsys, threads):

@@ -1,0 +1,163 @@
+"""The flat-medium ToF table behind the goat engine's maps.
+
+``imaging._shared_tof_maps`` solves one table from a source at the middle of
+the lateral domain and gathers every element's map from it.  Its maps must
+match the per-element :func:`tof_maps` to rounding, NaN for NaN; every case
+it does not serve must reach :func:`tof_maps` with the caller's sources and
+grid unchanged.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from goatfocus import imaging
+from goatfocus.batch import tof_maps
+from goatfocus.focusing import linear_array
+from goatfocus.goatsolve import SolverOptions
+from goatfocus.imaging import ImageGrid, _shared_tof_maps
+from goatfocus.medium import Constant, Linear, Medium, Point2
+
+from cases import MM, homogeneous_medium, proxon_medium
+
+REL = 1e-12
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
+                    database=None)
+
+
+def direct_maps(medium, sources, grid):
+    gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
+    return tof_maps(medium, sources, gx, gz)
+
+
+def assert_maps_match(got, want):
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    ok = ~nan
+    assert np.all(np.abs(got[ok] - want[ok]) <= REL * want[ok])
+
+
+def record_calls(mp):
+    """Route imaging.tof_maps through a recorder; returns its list of
+    (sources, tx, tz, workers), one per call."""
+    seen = []
+
+    def recording(medium, sources, tx, tz, opts=SolverOptions(), workers=1):
+        seen.append((list(sources), np.array(tx), np.array(tz), workers))
+        return tof_maps(medium, sources, tx, tz, opts, workers=workers)
+
+    mp.setattr(imaging, "tof_maps", recording)
+    return seen
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return record_calls(monkeypatch)
+
+
+def proxon_rows():
+    # proxon's array and lateral grid, a few rows in each layer.
+    grid = ImageGrid.from_extent(-15 * MM, 15 * MM, 2 * MM, 47 * MM, 0.1 * MM)
+    return ImageGrid(grid.x, grid.z[::40])
+
+
+class TestTable:
+    def test_proxon_matches_direct_maps(self, calls):
+        arr = linear_array(64, 0.15 * MM)
+        grid = proxon_rows()
+        got = _shared_tof_maps(proxon_medium(), arr.element_positions, grid)
+        [(sources, tx, _, _)] = calls
+        assert sources == [Point2(0.0, 0.0)]
+        assert 4 * tx.shape[1] <= 64 * grid.x.size
+        assert_maps_match(got, direct_maps(proxon_medium(),
+                                           arr.element_positions, grid))
+
+    @SETTINGS
+    @given(n_iface=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
+           n_el=st.integers(8, 12), pitch_cells=st.integers(1, 3),
+           nx=st.integers(30, 40))
+    def test_random_flat_media_match_direct_maps(self, n_iface, seed, n_el,
+                                                 pitch_cells, nx):
+        # Pitch a multiple of the pixel spacing, so the offsets repeat and
+        # the table is used; an off-centre domain, so its middle is not 0.
+        rng = np.random.default_rng(seed)
+        spacing = rng.uniform(0.05, 0.3) * MM
+        arr = linear_array(n_el, pitch_cells * spacing,
+                           center_x=rng.uniform(-1, 1) * MM)
+        grid = ImageGrid((np.arange(nx) - 0.5 * (nx - 1)) * spacing,
+                         np.linspace(1 * MM, 40 * MM, 14))
+        reach = max(abs(grid.x[0] - arr.xs[-1]), abs(grid.x[-1] - arr.xs[0]))
+        reach += 2 * spacing
+        dom = (-reach - rng.uniform(0, 5) * MM, reach + rng.uniform(0, 5) * MM)
+        depths = np.sort(rng.choice(np.arange(2, 30), n_iface,
+                                    replace=False)) * MM
+        speeds = rng.uniform(1300.0, 1700.0, n_iface + 1)
+        med = Medium(speeds, [Constant(d, dom) for d in depths], dom)
+        with pytest.MonkeyPatch.context() as mp:
+            seen = record_calls(mp)
+            got = _shared_tof_maps(med, arr.element_positions, grid)
+        assert [c[0] for c in seen] == [[Point2(0.5 * sum(dom), 0.0)]]
+        assert_maps_match(got, direct_maps(med, arr.element_positions, grid))
+
+    def test_independent_of_workers(self):
+        arr = linear_array(64, 0.15 * MM)
+        grid = proxon_rows()
+        one = _shared_tof_maps(proxon_medium(), arr.element_positions, grid,
+                               workers=1)
+        two = _shared_tof_maps(proxon_medium(), arr.element_positions, grid,
+                               workers=2)
+        assert one.tobytes() == two.tobytes()
+
+
+def _grid(x_lo=-5 * MM, x_hi=5 * MM):
+    """Columns 0.5 mm apart, nine rows from 4 to 20 mm."""
+    x = ImageGrid.from_extent(x_lo, x_hi, 0.0, 0.0, 0.5 * MM).x
+    return ImageGrid(x, np.linspace(4 * MM, 20 * MM, 9))
+
+
+def _fallbacks():
+    arr = linear_array(16, 0.5 * MM)
+    dom = (-20 * MM, 20 * MM)
+    narrow = (-8 * MM, 8 * MM)  # holds every pixel and element, not x_c + offset
+    staggered = [Point2(p.x, 0.1 * MM * (i % 2))
+                 for i, p in enumerate(arr.element_positions)]
+    cases = {
+        "tilted-interface": (Medium((1400.0, 1540.0),
+                                    (Linear(0.05, 9 * MM, dom),), dom),
+                             arr.element_positions, _grid()),
+        "one-speed": (homogeneous_medium(dom=dom), arr.element_positions,
+                      _grid()),
+        "sources-at-two-depths": (proxon_medium(), staggered, _grid()),
+        "translated-target-outside-the-domain": (
+            Medium((1400.0, 1540.0), (Constant(9 * MM, narrow),), narrow),
+            arr.element_positions, _grid()),
+        # Offsets within +-8 mm of the middle, but a pixel or an element
+        # past the domain's edge.
+        "pixel-outside-the-domain": (
+            proxon_medium(),
+            linear_array(16, 0.5 * MM, center_x=-16 * MM).element_positions,
+            _grid(-21 * MM, -13 * MM)),
+        "source-outside-the-domain": (
+            proxon_medium(),
+            linear_array(16, 0.5 * MM, center_x=17.5 * MM).element_positions,
+            _grid(14 * MM, 19 * MM)),
+        # A pitch that is no multiple of the spacing: few offsets repeat.
+        "too-few-repeated-offsets": (
+            proxon_medium(), linear_array(16, 0.37 * MM).element_positions,
+            _grid()),
+        "one-pixel-column": (proxon_medium(), arr.element_positions,
+                             ImageGrid(np.array([1 * MM]), _grid().z)),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("medium, sources, grid", _fallbacks())
+def test_fallback_solves_every_map(calls, medium, sources, grid):
+    got = _shared_tof_maps(medium, sources, grid, workers=2)
+    gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
+    [(seen_sources, tx, tz, workers)] = calls
+    assert seen_sources == list(sources)
+    assert np.array_equal(tx, gx) and np.array_equal(tz, gz)
+    assert workers == 2
+    assert got.tobytes() == direct_maps(medium, sources, grid).tobytes()
