@@ -297,7 +297,8 @@ def cmd_beamform(args) -> int:
         duration = 2.0 * float(np.nanmax(tofs)) + 2 * cut - t0 + 16 / fs
         channels = synthesize_channels(scn.medium, scn.array,
                                        scn.imaging.scatterers, scn.pulse, fs,
-                                       duration, t0, scn.solver, tofs=tofs)
+                                       duration, t0, scn.solver, tofs=tofs,
+                                       workers=args.threads)
         write_channels(channels, ch_path, provenance=scn.provenance)
         del channels  # the float64 set is not needed once it is on disk
     # Always beamform from the cached float32 data so that cached and fresh
@@ -337,8 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"goatfocus {__version__}")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for ToF maps and delay-and-sum, "
-                             "at least 1 (results are independent of this)")
+                        help="worker threads for ToF maps, channel synthesis "
+                             "and delay-and-sum, at least 1 (results are "
+                             "independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):

@@ -121,7 +121,7 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
                         pulse: Pulse, sample_rate: float, duration: float,
                         t0: float = 0.0,
                         opts: SolverOptions = SolverOptions(),
-                        tofs=None) -> ChannelDataSet:
+                        tofs=None, workers: int = 1) -> ChannelDataSet:
     """Noise-free channel data for unit point scatterers.
 
     trace(tx, rx, t) = sum_k amp_k * pulse(t - tof(tx -> k) - tof(k -> rx)),
@@ -129,7 +129,10 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
     always the layered-medium one; it is the ground-truth physics here).
     ``tofs`` takes the (element, scatterer) ToF map when the caller already
     has it.  Failed (element, scatterer) solves contribute nothing and are
-    recorded in ``omitted``.
+    recorded in ``omitted``.  Transmits are synthesized in blocks of
+    ``_SYNTH_TX_ROWS``, which write disjoint traces and run on a pool of
+    ``workers`` threads; each sample sums the scatterers in order, so the
+    channels do not depend on the number of workers.
     """
     scatterers = [(p, float(a)) for p, a in scatterers]
     if sample_rate <= 2.0 * pulse.center_frequency * (1.0 + pulse.fractional_bandwidth):
@@ -139,13 +142,14 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
     if tofs is None:
         sx = np.array([p.x for p, _ in scatterers])
         sz = np.array([p.z for p, _ in scatterers])
-        tofs = tof_maps(medium, array.element_positions, sx, sz, opts)  # (M, K)
+        tofs = tof_maps(medium, array.element_positions, sx, sz, opts,
+                        workers=workers)  # (M, K)
+    finite = np.isfinite(tofs)
     omitted = [(int(m), int(k), "no refracted path")
-               for m, k in zip(*np.nonzero(~np.isfinite(tofs)))]
+               for m, k in zip(*np.nonzero(~finite))]
     cut = pulse.support
-    finite_tofs = tofs[np.isfinite(tofs)]
-    if finite_tofs.size:
-        t_max = 2.0 * float(np.max(finite_tofs)) + cut
+    if finite.any():
+        t_max = 2.0 * float(np.max(tofs[finite])) + cut
         if t0 + duration < t_max:
             raise ValueError(
                 f"duration {duration:.3e} s does not cover the round trip "
@@ -154,22 +158,28 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
     flat = samples.reshape(-1)  # a view: (tx, rx, time) flattened
     win = int(math.ceil(cut * sample_rate))
     steps = np.arange(-win, win + 1)
-    for k, (_, amp) in enumerate(scatterers):
-        # The (tx, rx) windows of this scatterer, a block of transmits at a
+    live = [np.flatnonzero(finite[:, k]) for k in range(len(scatterers))]
+
+    def run(start):
+        # The (tx, rx) windows of a block of transmits, one scatterer at a
         # time: trace i, j covers samples ceil(c) - win ... floor(c) + win
         # of c = (tau - t0) * fs, clipped to the trace.  Windows of one
-        # scatterer never share a sample, so one indexed add sums a block.
-        live = np.flatnonzero(np.isfinite(tofs[:, k]))
-        for start in range(0, live.size, _SYNTH_TX_ROWS):
-            tx = live[start:start + _SYNTH_TX_ROWS]
-            tau = (tofs[tx, k][:, None] + tofs[live, k][None, :])[..., None]
+        # scatterer never share a sample, so one indexed add sums it.
+        for k, (_, amp) in enumerate(scatterers):
+            rx = live[k]
+            tx = rx[(start <= rx) & (rx < start + _SYNTH_TX_ROWS)]
+            tau = (tofs[tx, k][:, None] + tofs[rx, k][None, :])[..., None]
             center = (tau - t0) * sample_rate
             n = np.ceil(center).astype(np.int64) + steps
             keep = (n >= 0) & (n < nt) & (
                 n <= np.floor(center).astype(np.int64) + win)
-            trace = (tx[:, None] * M + live[None, :])[..., None] * nt
+            trace = (tx[:, None] * M + rx[None, :])[..., None] * nt
             tt = (t0 + n / sample_rate - tau)[keep]
             flat[(trace + n)[keep]] += amp * pulse(tt)
+
+    starts = range(0, M, _SYNTH_TX_ROWS)
+    with ThreadPoolExecutor(max(1, min(workers, len(starts)))) as pool:
+        list(pool.map(run, starts))
     return ChannelDataSet(samples, sample_rate, t0, tuple(omitted))
 
 
@@ -358,6 +368,15 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     return Image(grid, db, "db")
 
 
+def _roi_selection(grid: ImageGrid, roi):
+    """Masks of the grid columns and rows inside roi = (x_lo, x_hi, z_lo,
+    z_hi), edges included."""
+    x_lo, x_hi, z_lo, z_hi = roi
+    eps = 1e-9  # absorb float jitter at pixel-aligned ROI edges
+    return ((grid.x >= x_lo - eps) & (grid.x <= x_hi + eps),
+            (grid.z >= z_lo - eps) & (grid.z <= z_hi + eps))
+
+
 def beam_profile(image: Image, roi) -> BeamProfile:
     """Lateral beam profile: per-column maximum over the ROI depth range,
     normalized to a 0 dB peak; width at -6 dB by linear interpolation of the
@@ -365,10 +384,7 @@ def beam_profile(image: Image, roi) -> BeamProfile:
     columns."""
     if image.scale != "db":
         raise ValueError("beam profiles are extracted from dB images")
-    x_lo, x_hi, z_lo, z_hi = roi
-    eps = 1e-9  # absorb float jitter at pixel-aligned ROI edges
-    xsel = (image.grid.x >= x_lo - eps) & (image.grid.x <= x_hi + eps)
-    zsel = (image.grid.z >= z_lo - eps) & (image.grid.z <= z_hi + eps)
+    xsel, zsel = _roi_selection(image.grid, roi)
     if np.count_nonzero(xsel) < 8 or np.count_nonzero(zsel) < 2:
         raise RoiError("region of interest too small")
     sub = image.intensity[np.ix_(zsel, xsel)]
@@ -401,9 +417,7 @@ def beam_profile(image: Image, roi) -> BeamProfile:
 
 def peak_position(image: Image, roi) -> Point2:
     """Pixel-grid position of the ROI's intensity maximum."""
-    x_lo, x_hi, z_lo, z_hi = roi
-    xsel = (image.grid.x >= x_lo) & (image.grid.x <= x_hi)
-    zsel = (image.grid.z >= z_lo) & (image.grid.z <= z_hi)
+    xsel, zsel = _roi_selection(image.grid, roi)
     sub = image.intensity[np.ix_(zsel, xsel)]
     iz, ix = np.unravel_index(int(np.argmax(sub)), sub.shape)
     return Point2(float(image.grid.x[xsel][ix]), float(image.grid.z[zsel][iz]))

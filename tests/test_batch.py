@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from goatfocus import batch
 from goatfocus.batch import tof_batch, tof_maps
 from goatfocus.goatsolve import hmfa_tof, solve
 from goatfocus.medium import Point2
+from goatfocus.scenario import load
 
 from cases import MM, homogeneous_medium, proxon_medium, setting3_medium
 
@@ -79,3 +81,22 @@ class TestTofMaps:
         serial = tof_maps(med, sources, gx, gz)
         threaded = tof_maps(med, sources, gx, gz, workers=4)
         assert np.array_equal(serial, threaded)
+
+    def test_scatterer_map_is_one_row_call_per_layer(self, monkeypatch):
+        # The CLI's (element, scatterer) map on proxon: 64 sources, seven
+        # targets below the interface, one block of rows for all of them.
+        scn = load("proxon")
+        sx = np.array([p.x for p, _ in scn.imaging.scatterers])
+        sz = np.array([p.z for p, _ in scn.imaging.scatterers])
+        calls = []
+        real = batch.tof_rows
+
+        def counting(medium, ends, opts):
+            calls.append((medium.num_layers, len(ends)))
+            return real(medium, ends, opts)
+
+        monkeypatch.setattr(batch, "tof_rows", counting)
+        tofs = tof_maps(scn.medium, scn.array.element_positions, sx, sz,
+                        scn.solver, workers=2)
+        assert calls == [(2, 64 * 7)]
+        assert np.all(np.isfinite(tofs))

@@ -484,6 +484,7 @@ class TestCmdBeamform:
             monkeypatch.setattr(module, name, wrapper)
 
         record(goatfocus.batch, "tof_maps")
+        record(goatfocus.cli, "synthesize_channels")
         record(goatfocus.imaging, "tof_maps")
         record(goatfocus.imaging, "_das_sum")
         code, _, _ = run(capsys, "--threads", "3", "beamform", "--scenario",
@@ -491,6 +492,7 @@ class TestCmdBeamform:
                          "--out", str(tmp_path / "bf"))
         assert code == 0
         assert seen == [("goatfocus.batch.tof_maps", 3),
+                        ("goatfocus.cli.synthesize_channels", 3),
                         ("goatfocus.imaging.tof_maps", 3),
                         ("goatfocus.imaging._das_sum", 3)]
 

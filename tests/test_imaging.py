@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from goatfocus import imaging
 from goatfocus.errors import RoiError
 from goatfocus.focusing import linear_array
 from goatfocus.imaging import (
@@ -25,6 +26,7 @@ from goatfocus.imaging import (
     write_p5,
 )
 from goatfocus.medium import Point2
+from goatfocus.scenario import load
 
 from cases import MM, homogeneous_medium, proxon_medium
 
@@ -159,7 +161,7 @@ class TestSynthesizeChannels:
         assert np.array_equal(both.samples, a.samples + b.samples)
 
     @pytest.mark.parametrize("t0", [0.0, 1.5 * US])
-    def test_matches_per_pair_loop(self, t0):
+    def test_matches_per_pair_loop(self, t0, monkeypatch):
         # Hand-made ToFs: scatterer 0 sits so close that its windows are
         # clipped at sample 0, scatterer 2 is the deepest and its windows
         # run past the last sample, the windows of 1, 2 and 3 overlap in
@@ -181,12 +183,36 @@ class TestSynthesizeChannels:
         assert np.nanmax(np.ptp(center[:, 1:], axis=1)) < 2 * win
         arr = linear_array(M, 1.0 * MM)
         scat = [(Point2(0.0, (k + 1) * MM), a) for k, a in enumerate(amps)]
-        ch = synthesize_channels(homogeneous_medium(), arr, scat, PULSE, FS,
-                                 duration, t0, tofs=tofs)
         want = masked_synthesis(tofs, amps, PULSE, FS, nt, t0)
-        assert ch.samples.shape == want.shape
-        assert np.array_equal(ch.samples, want)
-        assert ch.omitted == ((2, 1, "no refracted path"),)
+        # One block of transmits, then blocks of 4 on three workers.
+        for workers, tx_rows in ((1, imaging._SYNTH_TX_ROWS), (3, 4)):
+            monkeypatch.setattr(imaging, "_SYNTH_TX_ROWS", tx_rows)
+            ch = synthesize_channels(homogeneous_medium(), arr, scat, PULSE,
+                                     FS, duration, t0, tofs=tofs,
+                                     workers=workers)
+            assert ch.samples.shape == want.shape
+            assert np.array_equal(ch.samples, want)
+            assert ch.omitted == ((2, 1, "no refracted path"),)
+
+    def test_independent_of_workers(self, monkeypatch):
+        # Blocks of 3 of 8 transmits split unevenly over more workers than
+        # cores; a short switch interval interleaves them as often as
+        # possible.
+        arr = linear_array(8, 1.0 * MM)
+        scat = [(Point2(x * MM, z * MM), a) for x, z, a in
+                ((0.0, 12.0, 1.0), (-2.0, 20.0, 0.6), (3.0, 25.0, -0.8))]
+        monkeypatch.setattr(imaging, "_SYNTH_TX_ROWS", 3)
+        ref = synthesize_channels(proxon_medium(), arr, scat, PULSE, FS,
+                                  60 * US, workers=1)
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for n in (2, 5):
+                ch = synthesize_channels(proxon_medium(), arr, scat, PULSE,
+                                         FS, 60 * US, workers=n)
+                assert np.array_equal(ch.samples, ref.samples)
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_duration_must_cover_round_trip(self):
         med, arr, scat = small_homog_setup()
@@ -242,6 +268,22 @@ class TestDasBeamform:
         pk = peak_position(img, (-6 * MM, 6 * MM, 20 * MM, 30 * MM))
         wavelength = 1540.0 / 5e6
         assert pk.dist(scat[0][0]) <= wavelength / 2
+
+    def test_peak_on_pixel_aligned_roi_edge(self):
+        # The CLI's 5 mm ROI around proxon's (2.5, 15) mm scatterer: its
+        # z_hi rounds to just below the 17.5 mm grid row, where the
+        # maximum lies.
+        grid = load("proxon").imaging.grid
+        half = 2.5 * MM
+        roi = (0.0, 2.5 * MM + half, 15 * MM - half, 15 * MM + half)
+        iz = int(np.argmin(np.abs(grid.z - 17.5 * MM)))
+        ix = int(np.argmin(np.abs(grid.x - 1 * MM)))
+        assert grid.z[iz] > roi[3]
+        intensity = np.full((grid.z.size, grid.x.size), -60.0)
+        intensity[iz, ix] = 0.0
+        intensity[iz - 1, ix] = -1.0
+        pk = peak_position(Image(grid, intensity, "db"), roi)
+        assert (pk.x, pk.z) == (grid.x[ix], grid.z[iz])
 
     def test_homogeneous_engines_identical(self):
         med, arr, scat = small_homog_setup()

@@ -8,13 +8,15 @@ which other rows share its call or in what order, and every finite batched
 ToF agrees with the brute-force Fermat oracle.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from goatfocus import batch
 from goatfocus.analysis import fermat_oracle
-from goatfocus.batch import tof_batch
+from goatfocus.batch import tof_batch, tof_maps
 from goatfocus.errors import GoatFocusError
 from goatfocus.goatsolve import solve, tof_rows
 from goatfocus.medium import Point2
@@ -147,6 +149,31 @@ def test_batch_independent_of_block_size(name, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(batch, "_BLOCK_ROWS", 7)
         assert _same(tof_batch(med, src, tx, tz), want)
+
+
+@SETTINGS
+@given(st.sampled_from(["random", "setting3", "oscillating"]),
+       st.integers(0, 2**32 - 1))
+def test_maps_equal_stacked_batches(name, seed):
+    # Blocks of 7 rows straddle sources, so row-Newton calls mix them; more
+    # workers than cores and a short switch interval interleave the blocks
+    # as often as possible.
+    rng, med, src = _medium_and_source(name, seed)
+    lo, hi = med.domain
+    sources = [src] + [Point2(rng.uniform(lo, hi), rng.uniform(0.0, 5 * MM))
+                       for _ in range(3)]
+    tx, tz = targets_in_every_layer(rng, med)
+    want = np.stack([tof_batch(med, p, tx, tz) for p in sources])
+    switch = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "_BLOCK_ROWS", 7)
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 2, 5):
+                got = tof_maps(med, sources, tx, tz, workers=workers)
+                assert _same(got, want)
+        finally:
+            sys.setswitchinterval(switch)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
