@@ -133,6 +133,21 @@ def tof_gradient(medium: Medium, p0: Point2, pN: Point2, xs) -> np.ndarray:
         - (dX[1:] + tau * dZ[1:]) / (c[1:] * L[1:])
 
 
+def _stationarity_terms(c_in, c_out, p0: Point2, x, z, p2: Point2):
+    """(L_in, L_out, c_in * L_in, c_out * L_out, num, den) at an interface
+    point (x, z) on the path p0 -> (x, z) -> p2: the segment lengths, their
+    speed-weighted lengths, and the slope condition's numerator and
+    denominator (a constant-ToF curve through the point has slope
+    num / den)."""
+    dx_in, db_in = x - p0.x, z - p0.z
+    dx_out, db_out = p2.x - x, p2.z - z
+    L_in = math.hypot(dx_in, db_in)
+    L_out = math.hypot(dx_out, db_out)
+    a_in, a_out = c_in * L_in, c_out * L_out
+    return (L_in, L_out, a_in, a_out,
+            a_in * dx_out - a_out * dx_in, a_out * db_in - a_in * db_out)
+
+
 def slope_condition_residual(medium: Medium, boundary_index: int,
                              p_prev: Point2, p: Point2, p_next: Point2) -> float:
     """Residual of the stationarity slope condition at one interface point:
@@ -142,18 +157,11 @@ def slope_condition_residual(medium: Medium, boundary_index: int,
     Raises DegenerateDenominatorError when the condition's denominator is
     smaller than 1e-14 in normalized units.
     """
-    c_in = medium.speeds[boundary_index - 1]
-    c_out = medium.speeds[boundary_index]
-    dx_in, db_in = p.x - p_prev.x, p.z - p_prev.z
-    dx_out, db_out = p_next.x - p.x, p_next.z - p.z
-    L_in = math.hypot(dx_in, db_in)
-    L_out = math.hypot(dx_out, db_out)
+    L_in, L_out, a_in, a_out, num, den = _stationarity_terms(
+        medium.speeds[boundary_index - 1], medium.speeds[boundary_index],
+        p_prev, p.x, p.z, p_next)
     if min(L_in, L_out) < MIN_SEGMENT:
         raise DegenerateSegmentError("degenerate segment at the interface point")
-    a_in = c_in * L_in
-    a_out = c_out * L_out
-    num = a_in * dx_out - a_out * dx_in
-    den = a_out * db_in - a_in * db_out
     scale = max(a_in, a_out) * max(L_in, L_out)
     if abs(den) <= _DENOM_FLOOR * scale:
         raise DegenerateDenominatorError(
@@ -168,15 +176,7 @@ def _cleared_slope_condition(medium: Medium, p0: Point2, p2: Point2, x):
     b'(x) * den - num.  Shares roots with the raw residual but has no poles,
     so sign counting over a scan is meaningful."""
     b = medium.boundaries[0]
-    z = b._eval(x)
-    c1, c2 = medium.speeds
-    dx_in, db_in = x - p0.x, z - p0.z
-    dx_out, db_out = p2.x - x, p2.z - z
-    L_in = math.hypot(dx_in, db_in)
-    L_out = math.hypot(dx_out, db_out)
-    a_in, a_out = c1 * L_in, c2 * L_out
-    num = a_in * dx_out - a_out * dx_in
-    den = a_out * db_in - a_in * db_out
+    *_, num, den = _stationarity_terms(*medium.speeds, p0, x, b._eval(x), p2)
     return b._slope(x) * den - num
 
 
@@ -231,15 +231,9 @@ _LEVEL_SLOPE_MAX = 10.0
 
 
 def _level_slope(c1, c2, p0, p2, x, z):
-    dx_in, db_in = x - p0.x, z - p0.z
-    dx_out, db_out = p2.x - x, p2.z - z
-    L_in = math.hypot(dx_in, db_in)
-    L_out = math.hypot(dx_out, db_out)
+    L_in, L_out, _, _, num, den = _stationarity_terms(c1, c2, p0, x, z, p2)
     if min(L_in, L_out) < 1e-6:
         return None
-    a_in, a_out = c1 * L_in, c2 * L_out
-    num = a_in * dx_out - a_out * dx_in
-    den = a_out * db_in - a_in * db_out
     if abs(den) * _LEVEL_SLOPE_MAX <= abs(num) or den == 0.0:
         raise DegenerateDenominatorError("level-set tangent is (near) vertical")
     return num / den

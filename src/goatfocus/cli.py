@@ -68,14 +68,21 @@ _EXIT_CODES = {
 }
 
 
+def _parse_xz(text: str, scn: Scenario, kind: str) -> Point2:
+    """Parse 'x,z' (scenario length units); both must be finite."""
+    try:
+        x, z = (float(v) for v in text.split(","))
+    except ValueError:
+        raise ScenarioError(f"cannot parse {kind} {text!r}") from None
+    if not (math.isfinite(x) and math.isfinite(z)):
+        raise ScenarioError(f"{kind} {text!r}: coordinates must be finite")
+    return Point2(x * scn.length_scale, z * scn.length_scale)
+
+
 def _parse_point(text: str, scn: Scenario, kind: str) -> Point2:
     """Parse 'x,z' (scenario length units) or an element index."""
     if "," in text:
-        try:
-            x, z = (float(v) for v in text.split(","))
-        except ValueError:
-            raise ScenarioError(f"cannot parse {kind} {text!r}") from None
-        return Point2(x * scn.length_scale, z * scn.length_scale)
+        return _parse_xz(text, scn, kind)
     try:
         idx = int(text)
     except ValueError:
@@ -232,11 +239,7 @@ def cmd_levelset(args) -> int:
         raise ScenarioError("level sets are defined for 2-layer scenarios")
     p0 = _pick_source(args, scn)
     p2 = _pick_focus(args, scn)
-    try:
-        sx, sz = (float(v) for v in args.seed.split(","))
-    except ValueError:
-        raise ScenarioError(f"cannot parse --seed {args.seed!r}") from None
-    seed = Point2(sx * scn.length_scale, sz * scn.length_scale)
+    seed = _parse_xz(args.seed, scn, "--seed")
     if not p0.z < seed.z < p2.z:
         raise ScenarioError("--seed must lie strictly between the source and "
                             "focus depths")

@@ -31,9 +31,6 @@ _SYNTH_TX_ROWS = 8
 # Lateral offsets (pixel - element) within this fraction of the pixel
 # spacing share a column of the flat-medium ToF table.
 _OFFSET_TOL = 1e-9
-# The table replaces the per-element maps only if it cuts the solves at
-# least this many times.
-_MIN_TABLE_CUT = 4
 
 
 @dataclass(frozen=True)
@@ -200,28 +197,30 @@ def envelope(trace) -> np.ndarray:
     return np.abs(fft.ifft(fft.fft(trace, axis=-1) * h, axis=-1))
 
 
-def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray,
+def _das_sum(channels: ChannelDataSet, idx_maps,
              workers: int = 1) -> np.ndarray:
     """Delay-and-sum accumulation: for every pixel, gather each trace at the
     two-way delay with linear interpolation and sum over all pairs.
 
-    ``idx_maps[m]`` holds (one-way delay * sample_rate) per pixel for element
-    m.  Symmetric channel sets are folded over unordered pairs.  The samples
-    may be float32, as :func:`read_channels` returns them; each pair's trace
-    is upcast to float64, which is exact.  The gather needs no mask: it
-    reads two zero-padded copies of the trace, ``left = [0, tr[:-1], 0]``
-    and ``right = [0, tr[1:], 0]``, at ``k = floor(t) + 1`` clipped to the
-    pads, so a delay outside [0, nt - 1) reads zeros.  The x2 weight of an
-    off-diagonal pair is folded into its pads (doubling is exact for normal
-    numbers).  The pixels are split into one contiguous slice for each of
-    the ``workers`` threads; every slice sums its pairs in the same order,
-    so the result does not depend on the worker count.
+    ``idx_maps`` is any sequence of M equal-length 1-D maps (a 2-D array or
+    a list of views); ``idx_maps[m]`` holds (one-way delay * sample_rate)
+    per pixel for element m.  Symmetric channel sets are folded over
+    unordered pairs.  The samples may be float32, as :func:`read_channels`
+    returns them; each pair's trace is upcast to float64, which is exact.
+    The gather needs no mask: it reads two zero-padded copies of the trace,
+    ``left = [0, tr[:-1], 0]`` and ``right = [0, tr[1:], 0]``, at
+    ``k = floor(t) + 1`` clipped to the pads, so a delay outside
+    [0, nt - 1) reads zeros.  The x2 weight of an off-diagonal pair is
+    folded into its pads (doubling is exact for normal numbers).  The
+    pixels are split into one contiguous slice for each of the ``workers``
+    threads; every slice sums its pairs in the same order, so the result
+    does not depend on the worker count.
     """
     M = channels.n_elements
     nt = channels.n_samples
     samples = channels.samples
     base = -channels.t0 * channels.sample_rate
-    npix = idx_maps.shape[1]
+    npix = len(idx_maps[0])
     acc = np.zeros(npix)
     # One transmit at a time: comparing the whole set at once would allocate
     # a boolean array of its size, enough to raise a cold beamform's peak.
@@ -234,7 +233,7 @@ def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray,
         pairs = [(i, j, 1.0) for i in range(M) for j in range(M)]
 
     def run(px):
-        maps, out = idx_maps[:, px], acc[px]  # views, not copies
+        maps, out = [m[px] for m in idx_maps], acc[px]  # views, not copies
         t, f, g = np.empty((3, out.size))
         k = np.empty(out.size, dtype=np.int64)
         left, right = np.zeros((2, nt + 1))
@@ -264,48 +263,53 @@ def _das_sum(channels: ChannelDataSet, idx_maps: np.ndarray,
 
 def _shared_tof_maps(medium: Medium, sources, grid: ImageGrid,
                      opts: SolverOptions = SolverOptions(),
-                     workers: int = 1) -> np.ndarray:
-    """ToF maps from every source to every pixel, (len(sources), nz, nx).
+                     workers: int = 1):
+    """ToF maps from every source to every pixel, as ``(base, maps)``.
 
-    Through flat (:class:`Constant`) interfaces, the ToF from a source at
-    (x_s, z_s) to a pixel (x, z) depends only on (x - x_s, z).  So when
-    every source has the same z_s, the offsets x - x_s of all (source,
-    pixel column) pairs are grouped to within ``_OFFSET_TOL`` of the pixel
-    spacing, one :func:`tof_maps` call solves a table over (distinct
-    offsets x grid rows) from a source at the middle of the lateral
-    domain, and each map is gathered from it.  The maps are solved one per
-    source instead when an interface is not flat, the sources do not share
+    ``maps[m]`` is source m's map, 1-D with the pixels x-major (pixel
+    (ix, iz) at ix * nz + iz), and a view of ``base``.  Through flat
+    (:class:`Constant`) interfaces, the ToF from a source at (x_s, z_s) to
+    a pixel (x, z) depends only on (x - x_s, z).  So when every source has
+    the same z_s, the offsets x - x_s of all (source, pixel column) pairs
+    are grouped to within ``_OFFSET_TOL`` of the pixel spacing and ordered
+    by (offset modulo the pixel spacing, offset), and one :func:`tof_maps`
+    call solves a (distinct offsets, nz) table from a source at the middle
+    of the lateral domain.  Each source's offsets are then one run of nx
+    table rows, so its map is the view ``table[a:a + nx].reshape(-1)``.
+    The maps are solved one per source instead, into a (len(sources), nx,
+    nz) ``base``, when an interface is not flat, the sources do not share
     one z, a source, a pixel or a translated target lies outside the
-    lateral domain, or the table would not cut the solves
-    ``_MIN_TABLE_CUT`` times; and in a medium of one speed, where
-    :func:`tof_maps` gives the straight rays in closed form, bit-identical
-    to the hmfa engine's.
+    lateral domain, or a source's offsets do not form one run; and in a
+    medium of one speed, where :func:`tof_maps` gives the straight rays in
+    closed form, bit-identical to the hmfa engine's.
     """
     sources = list(sources)
     lo, hi = medium.domain
     mid = 0.5 * (lo + hi)
-    if (len(set(medium.speeds)) > 1 and grid.x.size > 1
+    nx = grid.x.size
+    if (len(set(medium.speeds)) > 1 and nx > 1
             and all(isinstance(b, Constant) for b in medium.boundaries)
             and len({p.z for p in sources}) == 1):
         xs = np.array([p.x for p in sources])
         off = grid.x[None, :] - xs[:, None]
-        tol = _OFFSET_TOL * abs(grid.x[1] - grid.x[0])
-        _, first, inv = np.unique(np.round(off / tol), return_index=True,
-                                  return_inverse=True)
-        cols = mid + off.reshape(-1)[first]
+        key = np.round(off / (_OFFSET_TOL * abs(grid.x[1] - grid.x[0])))
+        uniq, first, inv = np.unique(key, return_index=True,
+                                     return_inverse=True)
+        # Keys one pixel spacing apart differ by 1 / _OFFSET_TOL; uniq is
+        # sorted, so a stable sort on the class keeps offset order in it.
+        order = np.argsort(uniq % round(1.0 / _OFFSET_TOL), kind="stable")
+        runs = np.argsort(order)[inv].reshape(off.shape)  # each offset's row
+        cols = mid + off.flat[first[order]]
         lateral = np.concatenate((xs, grid.x, cols))
-        if (_MIN_TABLE_CUT * cols.size <= off.size
+        if (np.all(runs == runs[:, :1] + np.arange(nx))
                 and lo <= lateral.min() and lateral.max() <= hi):
-            tx, tz = np.meshgrid(cols, grid.z, indexing="xy")
+            tx, tz = np.meshgrid(cols, grid.z, indexing="ij")
             table = tof_maps(medium, [Point2(mid, sources[0].z)], tx, tz,
                              opts, workers=workers)[0]
-            maps = np.empty((len(sources), grid.z.size, grid.x.size))
-            # The indices are in range; "clip" spares np.take a buffer.
-            for m, idx in enumerate(inv.reshape(off.shape)):
-                np.take(table, idx, axis=1, out=maps[m], mode="clip")
-            return maps
-    gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
-    return tof_maps(medium, sources, gx, gz, opts, workers=workers)
+            return table, [table[a:a + nx].reshape(-1) for a in runs[:, 0]]
+    gx, gz = np.meshgrid(grid.x, grid.z, indexing="ij")
+    base = tof_maps(medium, sources, gx, gz, opts, workers=workers)
+    return base, base.reshape(len(sources), -1)
 
 
 def das_beamform(channels: ChannelDataSet, medium: Medium | None,
@@ -323,40 +327,39 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     exactly 0 dB and a -60 dB display floor.  Pixels whose delays failed are
     absent: NaN in linear scale, floor value in dB, excluded from the
     normalization.  The goat ToF maps come from :func:`_shared_tof_maps`:
-    in a medium of flat interfaces, with every element at one depth, one
-    ToF table over (pixel - element lateral offsets x grid rows) serves
-    every element.  Each element's map is solved on its own when an
-    interface is not flat, the elements do not share one depth, a pixel,
-    an element or a translated target lies outside the lateral domain, the
-    table would not cut the solves ``_MIN_TABLE_CUT`` times, or the medium
-    has one speed.  ``workers`` threads share the ToF solves and the
+    in a medium of flat interfaces, with every element at one depth, they
+    are views of one ToF table over (pixel - element lateral offsets x grid
+    rows); that function lists the cases where each element's map is
+    solved on its own.  ``workers`` threads share the ToF solves and the
     delay-and-sum; the image does not depend on their number.
     """
     nz, nx = grid.z.size, grid.x.size
     if engine == "hmfa":
-        maps = np.empty((len(array), nz, nx))
+        base = np.empty((len(array), nx, nz))
         for m, p in enumerate(array.element_positions):  # one at a time
-            np.hypot(grid.x - p.x, grid.z[:, None] - p.z, out=maps[m])
-        maps /= reference_speed
+            np.hypot(grid.x[:, None] - p.x, grid.z - p.z, out=base[m])
+        base /= reference_speed
+        maps = base.reshape(len(array), -1)
     elif engine == "goat":
         if medium is None:
             raise ValueError("the goat engine requires a medium")
-        maps = _shared_tof_maps(medium, array.element_positions, grid, opts,
-                                workers)
+        base, maps = _shared_tof_maps(medium, array.element_positions, grid,
+                                      opts, workers)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    flat = maps.reshape(len(array), -1)
-    flat *= channels.sample_rate
-    bad = ~np.isfinite(flat)
-    absent = np.any(bad, axis=0)
-    flat[bad] = 0.0
-    raw = _das_sum(channels, flat, workers).reshape(nz, nx)
-    absent = absent.reshape(nz, nx)
+    # Scale and zero the base once; the maps are views of it.
+    base *= channels.sample_rate
+    absent = np.zeros(nx * nz, dtype=bool)
+    for m in maps:
+        absent |= ~np.isfinite(m)
+    base[~np.isfinite(base)] = 0.0
+    raw = _das_sum(channels, maps, workers).reshape(nx, nz)
+    absent = absent.reshape(nx, nz).T
     if scale == "linear":
-        out = raw.copy()
+        out = raw.T.copy()
         out[absent] = np.nan
         return Image(grid, out, "linear")
-    env = envelope(raw.T).T  # per lateral column, along depth
+    env = envelope(raw).T  # per lateral column, along depth
     env[absent] = np.nan
     peak = np.nanmax(env) if np.any(np.isfinite(env)) else 0.0
     if peak <= 0.0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -73,7 +74,14 @@ def _require_keys(obj, required, optional, where):
 def _number(v, where):
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ScenarioError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    # json.loads reads NaN, Infinity and 1e400 as non-finite floats.
+    if not math.isfinite(x):
+        raise ScenarioError(f"{where}: expected a finite number, got {v!r}")
+    return x
 
 
 def _point(v, scale, where) -> Point2:

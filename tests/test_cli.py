@@ -404,6 +404,62 @@ class TestCmdOracle:
         assert json.loads(err)["error"] == "ScenarioError"
 
 
+class TestNonFiniteInput:
+    """NaN and infinite coordinates are bad input (exit 2), not points the
+    solver fails on."""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("solve", "--source", "0", "--focus", "nan,30"),
+                     "--focus 'nan,30': coordinates must be finite",
+                     id="solve-focus"),
+        pytest.param(("solve", "--source", "nan,0", "--focus", "5,30"),
+                     "--source 'nan,0': coordinates must be finite",
+                     id="solve-source"),
+        pytest.param(("oracle", "--source", "0", "--focus", "0,nan"),
+                     "--focus '0,nan': coordinates must be finite",
+                     id="oracle-focus"),
+        pytest.param(("check", "--source", "0", "--focus", "nan,30"),
+                     "--focus 'nan,30': coordinates must be finite",
+                     id="check-focus"),
+        pytest.param(("solve", "--source", "0", "--focus", "5,inf"),
+                     "--focus '5,inf': coordinates must be finite",
+                     id="solve-focus-inf"),
+        pytest.param(("levelset", "--source", "0", "--focus", "0,30",
+                      "--seed", "inf,5"),
+                     "--seed 'inf,5': coordinates must be finite",
+                     id="levelset-seed"),
+    ])
+    def test_flag_exit_2(self, capsys, tmp_path, argv, message):
+        out_csv = tmp_path / "c.csv"
+        extra = ("--out", str(out_csv)) if argv[0] == "levelset" else ()
+        code, out, err = run(capsys, argv[0], "--scenario", "proxon",
+                             *argv[1:], *extra)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": "ScenarioError",
+                                  "message": message}, sort_keys=True) + "\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("foci", [[20.0, float("nan")]],
+                     "foci[0]: expected a finite number, got nan",
+                     id="nan-focus"),
+        pytest.param("sources", [[float("inf"), 2.0]],
+                     "sources[0]: expected a finite number, got inf",
+                     id="infinite-source"),
+        pytest.param("foci", [[20.0, 10**400]],
+                     f"foci[0]: expected a finite number, got {10**400}",
+                     id="integer-beyond-float-range"),
+    ])
+    def test_scenario_document_exit_2(self, capsys, tmp_path, field, value,
+                                      message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict(MINIMAL, **{field: value})))
+        code, out, err = run(capsys, "solve", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": "ScenarioError",
+                                  "message": message}, sort_keys=True) + "\n"
+
+
 class TestCmdBeamform:
     def test_homogeneous_engines_byte_identical(self, capsys, tmp_path):
         prefix = str(tmp_path / "bf")

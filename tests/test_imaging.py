@@ -9,6 +9,7 @@ import pytest
 from goatfocus import imaging
 from goatfocus.errors import RoiError
 from goatfocus.focusing import linear_array
+from goatfocus.goatsolve import SolverOptions
 from goatfocus.imaging import (
     ChannelDataSet,
     Image,
@@ -25,7 +26,7 @@ from goatfocus.imaging import (
     write_channels,
     write_p5,
 )
-from goatfocus.medium import Point2
+from goatfocus.medium import Linear, Medium, Point2
 from goatfocus.scenario import load
 
 from cases import MM, homogeneous_medium, proxon_medium
@@ -323,6 +324,37 @@ class TestDasBeamform:
                 peak = np.argmax(envelope(ch.samples[i, j]))
                 assert abs(idx - peak) <= 1.0
 
+    @pytest.mark.parametrize("flat", [True, False],
+                             ids=["table", "per-element"])
+    def test_failed_delays_leave_pixels_absent(self, monkeypatch, flat):
+        # ToFs to targets more than 1 mm right of the source and below
+        # 20 mm fail, both from the table's middle source and from each
+        # element; a pixel is absent when any element's delay failed.
+        dom = (-20 * MM, 20 * MM)
+        med = proxon_medium() if flat else Medium(
+            (1393.5, 1540.0), (Linear(0.05, 9 * MM, dom),), dom)
+        arr = linear_array(8, 0.5 * MM)
+        ch = synthesize_channels(med, arr, [(Point2(0.0, 15 * MM), 1.0)],
+                                 PULSE, FS, 40 * US)
+        real = imaging.tof_maps
+
+        def failing(medium, sources, tx, tz, opts=SolverOptions(), workers=1):
+            out = real(medium, sources, tx, tz, opts, workers=workers)
+            for src, o in zip(sources, out):
+                o[(tx - src.x > 1 * MM) & (tz > 20 * MM)] = np.nan
+            return out
+
+        monkeypatch.setattr(imaging, "tof_maps", failing)
+        grid = ImageGrid.from_extent(-4 * MM, 4 * MM, 12 * MM, 30 * MM,
+                                     0.25 * MM)
+        gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
+        absent = (gx - arr.xs.min() > 1 * MM) & (gz > 20 * MM)
+        assert 0 < np.count_nonzero(absent) < absent.size
+        lin = das_beamform(ch, med, arr, grid, "goat", scale="linear")
+        assert np.array_equal(np.isnan(lin.intensity), absent)
+        db = das_beamform(ch, med, arr, grid, "goat").intensity
+        assert np.all(db[absent] == -60.0) and np.max(db[~absent]) == 0.0
+
     def test_db_image_normalization(self):
         med, arr, scat = small_homog_setup()
         ch = synthesize_channels(med, arr, scat, PULSE, FS, 60 * US)
@@ -388,6 +420,20 @@ class TestDasGather:
                             .astype(np.float32), FS, t0=0.37 / FS)
         idx = self.delays(rng, 3)
         assert np.array_equal(_das_sum(ch, idx), masked_das_sum(ch, idx))
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_list_of_views_matches_stacked_array(self, rng, n_workers):
+        # Overlapping x-major views of one table, as the flat-medium ToF
+        # table hands them over, against their stacked copy.
+        M, nx, nz = 5, 7, 11
+        raw = rng.standard_normal((M, M, self.NT))
+        ch = ChannelDataSet((raw + raw.swapaxes(0, 1)).astype(np.float32), FS)
+        table = rng.uniform(-4.0, (self.NT + 4.0) / 2.0, (nx + 2 * M, nz))
+        views = [table[2 * m:2 * m + nx].reshape(-1) for m in range(M)]
+        assert all(np.shares_memory(v, table) for v in views)
+        got = _das_sum(ch, views, workers=n_workers)
+        want = _das_sum(ch, np.stack(views), workers=n_workers)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBeamProfile:

@@ -1,10 +1,10 @@
 """The flat-medium ToF table behind the goat engine's maps.
 
 ``imaging._shared_tof_maps`` solves one table from a source at the middle of
-the lateral domain and gathers every element's map from it.  Its maps must
-match the per-element :func:`tof_maps` to rounding, NaN for NaN; every case
-it does not serve must reach :func:`tof_maps` with the caller's sources and
-grid unchanged.
+the lateral domain, and every element's map is a contiguous view of it.  Its
+maps must match the per-element :func:`tof_maps` to rounding, NaN for NaN;
+every case it does not serve must reach :func:`tof_maps` with the caller's
+sources and grid unchanged.
 """
 
 import numpy as np
@@ -28,6 +28,19 @@ SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
 def direct_maps(medium, sources, grid):
     gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
     return tof_maps(medium, sources, gx, gz)
+
+
+def stacked(got, grid):
+    """The x-major maps of ``_shared_tof_maps`` as one (M, nz, nx) array."""
+    _, maps = got
+    return np.stack([m.reshape(grid.x.size, grid.z.size).T for m in maps])
+
+
+def assert_views_of_table(got, tx):
+    table, maps = got
+    assert table.shape == tx.shape
+    for m in maps:
+        assert m.ndim == 1 and np.shares_memory(m, table)
 
 
 def assert_maps_match(got, want):
@@ -69,9 +82,24 @@ class TestTable:
         got = _shared_tof_maps(proxon_medium(), arr.element_positions, grid)
         [(sources, tx, _, _)] = calls
         assert sources == [Point2(0.0, 0.0)]
-        assert 4 * tx.shape[1] <= 64 * grid.x.size
-        assert_maps_match(got, direct_maps(proxon_medium(),
-                                           arr.element_positions, grid))
+        assert 4 * tx.shape[0] <= 64 * grid.x.size
+        assert_views_of_table(got, tx)
+        assert_maps_match(stacked(got, grid),
+                          direct_maps(proxon_medium(), arr.element_positions,
+                                      grid))
+
+    def test_few_repeated_offsets_match_direct_maps(self, calls):
+        # A pitch that is no multiple of the spacing: few offsets repeat,
+        # and each element's offsets are a class of their own.
+        arr = linear_array(16, 0.37 * MM)
+        got = _shared_tof_maps(proxon_medium(), arr.element_positions,
+                               _grid())
+        [(sources, tx, _, _)] = calls
+        assert sources == [Point2(0.0, 0.0)]
+        assert_views_of_table(got, tx)
+        assert_maps_match(stacked(got, _grid()),
+                          direct_maps(proxon_medium(), arr.element_positions,
+                                      _grid()))
 
     @SETTINGS
     @given(n_iface=st.integers(1, 4), seed=st.integers(0, 2**31 - 1),
@@ -97,8 +125,11 @@ class TestTable:
         with pytest.MonkeyPatch.context() as mp:
             seen = record_calls(mp)
             got = _shared_tof_maps(med, arr.element_positions, grid)
-        assert [c[0] for c in seen] == [[Point2(0.5 * sum(dom), 0.0)]]
-        assert_maps_match(got, direct_maps(med, arr.element_positions, grid))
+        [(sources, tx, _, _)] = seen
+        assert sources == [Point2(0.5 * sum(dom), 0.0)]
+        assert_views_of_table(got, tx)
+        assert_maps_match(stacked(got, grid),
+                          direct_maps(med, arr.element_positions, grid))
 
     def test_independent_of_workers(self):
         arr = linear_array(64, 0.15 * MM)
@@ -107,7 +138,8 @@ class TestTable:
                                workers=1)
         two = _shared_tof_maps(proxon_medium(), arr.element_positions, grid,
                                workers=2)
-        assert one.tobytes() == two.tobytes()
+        assert one[0].tobytes() == two[0].tobytes()
+        assert stacked(one, grid).tobytes() == stacked(two, grid).tobytes()
 
 
 def _grid(x_lo=-5 * MM, x_hi=5 * MM):
@@ -142,10 +174,13 @@ def _fallbacks():
             proxon_medium(),
             linear_array(16, 0.5 * MM, center_x=17.5 * MM).element_positions,
             _grid(14 * MM, 19 * MM)),
-        # A pitch that is no multiple of the spacing: few offsets repeat.
-        "too-few-repeated-offsets": (
-            proxon_medium(), linear_array(16, 0.37 * MM).element_positions,
-            _grid()),
+        # Found by a seeded search over random pitch/spacing layouts: this
+        # element's offsets, one pixel spacing apart, round to keys in two
+        # classes, so its table rows would not form one run.
+        "offsets-not-one-run": (
+            proxon_medium(), [Point2(-0.0035744112799467936, 0.0)],
+            ImageGrid(-0.0021496630954781696
+                      + np.arange(34) * 0.00014848173532943051, _grid().z)),
         "one-pixel-column": (proxon_medium(), arr.element_positions,
                              ImageGrid(np.array([1 * MM]), _grid().z)),
     }
@@ -155,9 +190,13 @@ def _fallbacks():
 @pytest.mark.parametrize("medium, sources, grid", _fallbacks())
 def test_fallback_solves_every_map(calls, medium, sources, grid):
     got = _shared_tof_maps(medium, sources, grid, workers=2)
-    gx, gz = np.meshgrid(grid.x, grid.z, indexing="xy")
+    gx, gz = np.meshgrid(grid.x, grid.z, indexing="ij")
     [(seen_sources, tx, tz, workers)] = calls
     assert seen_sources == list(sources)
     assert np.array_equal(tx, gx) and np.array_equal(tz, gz)
     assert workers == 2
-    assert got.tobytes() == direct_maps(medium, sources, grid).tobytes()
+    base, maps = got
+    for m, row in zip(maps, base):
+        assert np.shares_memory(m, row)
+    assert (stacked(got, grid).tobytes()
+            == direct_maps(medium, sources, grid).tobytes())
