@@ -11,7 +11,9 @@ coordinate refinement and never touches Snell's law.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +25,9 @@ from .raytrace import MIN_SEGMENT
 _UNIQUE_SAMPLES = 256
 _DENOM_FLOOR = 1e-14  # normalized units; the equivalence theorem's proviso
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Elements per Fermat-oracle DP block: a worker's two float64 buffers of
+# this many elements take 4 MB together.
+_DP_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -337,9 +342,19 @@ def oval_identity_residual(medium2: Medium, p0: Point2, p2: Point2,
     return np.array([combo(p) - ref for p in curve.points])
 
 
-def _dp_min_chain(medium: Medium, p0: Point2, pN: Point2, grid: int):
+def _dp_min_chain(medium: Medium, p0: Point2, pN: Point2, grid: int,
+                  workers: int = 1):
     """Dynamic program over per-interface lateral grids: minimal travel-time
-    chain from p0 to pN, ties resolved toward the smallest grid index."""
+    chain from p0 to pN, ties resolved toward the smallest grid index.
+
+    Each interface step is cut into blocks of ``_DP_BLOCK // grid`` rows
+    (at least one).  Rows are independent, so the blocks are dealt to
+    ``workers`` threads, each of which fills two reused (rows, grid) buffers
+    with the same elementwise operations, in the same order, as the one-shot
+    ``hypot(dx, dz) / c + cost``: the result does not depend on the block
+    size or the worker count, and the working memory is
+    ``16 * _DP_BLOCK`` bytes per worker for any grid up to ``_DP_BLOCK``.
+    """
     lo, hi = medium.domain
     c = medium.speeds
     xg = np.linspace(lo, hi, grid)
@@ -347,19 +362,32 @@ def _dp_min_chain(medium: Medium, p0: Point2, pN: Point2, grid: int):
     K = len(zs)
     cost = np.hypot(xg - p0.x, zs[0] - p0.z) / c[0]
     back: list[np.ndarray] = []
-    chunk = max(1, int(4e6 // grid))
-    for i in range(1, K):
-        new_cost = np.empty(grid)
-        arg = np.empty(grid, dtype=np.int64)
-        for s in range(0, grid, chunk):
-            e = min(s + chunk, grid)
-            d = np.hypot(xg[s:e, None] - xg[None, :],
-                         zs[i][s:e, None] - zs[i - 1][None, :]) / c[i]
-            tot = d + cost[None, :]
-            arg[s:e] = np.argmin(tot, axis=1)
-            new_cost[s:e] = tot[np.arange(e - s), arg[s:e]]
-        cost = new_cost
-        back.append(arg)
+    rows = max(1, _DP_BLOCK // grid)
+    starts = range(0, grid, rows)
+    n = min(workers, len(starts))
+    bufs = np.empty((n, 2, rows, grid))
+    picks = np.arange(rows)
+
+    def step(i, cost, new_cost, arg, w):
+        # Worker w takes blocks w, w + n, w + 2n, ... of step i.
+        for s in starts[w::n]:
+            e = min(s + rows, grid)
+            a, b = bufs[w, :, :e - s]
+            np.subtract(xg[s:e, None], xg[None, :], out=a)
+            np.subtract(zs[i][s:e, None], zs[i - 1][None, :], out=b)
+            np.hypot(a, b, out=a)
+            a /= c[i]
+            a += cost
+            np.argmin(a, axis=1, out=arg[s:e])
+            new_cost[s:e] = a[picks[:e - s], arg[s:e]]
+
+    with ThreadPoolExecutor(n) as pool:
+        for i in range(1, K):
+            new_cost = np.empty(grid)
+            arg = np.empty(grid, dtype=np.int64)
+            list(pool.map(partial(step, i, cost, new_cost, arg), range(n)))
+            cost = new_cost
+            back.append(arg)
     final = cost + np.hypot(pN.x - xg, pN.z - zs[-1]) / c[K]
     j = int(np.argmin(final))
     idx = [j]
@@ -390,44 +418,68 @@ def _golden_min(f, a, b, iters=90):
 
 
 def fermat_oracle(medium: Medium, p0: Point2, pN: Point2, grid: int = 4096,
-                  refine_iters: int = 60) -> OracleResult:
+                  refine_iters: int = 60, workers: int = 1) -> OracleResult:
     """Brute-force minimal travel time through the stack.
 
-    Discretizes every interface into ``grid`` lateral samples, extracts the
-    minimal-time chain by dynamic programming, then refines each crossing by
-    cyclic golden-section line minimization within +/- 2 grid cells
-    (``refine_iters`` sweeps).  Pure minimization of the travel-time sum:
-    independent of any refraction computation, which is what makes it an
-    oracle for the two-point solvers.
+    The path crosses only the interfaces above the focus: the stack is
+    truncated to the layers down to ``pN``'s, as the solver does, and a
+    focus in the first layer gets the straight ray (``xs=()``, ``bound=0``).
+    Discretizes every remaining interface into ``grid`` lateral samples,
+    extracts the minimal-time chain by dynamic programming, then refines
+    each crossing by cyclic golden-section line minimization within +/- 2
+    grid cells (``refine_iters`` sweeps).  Pure minimization of the
+    travel-time sum: independent of any refraction computation, which is
+    what makes it an oracle for the two-point solvers.
+
+    The dynamic program runs in row blocks of bounded size on ``workers``
+    threads (see :func:`_dp_min_chain`), so its memory does not grow with
+    ``grid`` squared and the result does not depend on ``workers``.  A
+    refinement trial recomputes only the two segments its crossing
+    touches and sums the cached segment times in path order.
     """
     if grid < 64:
         raise ValueError("grid must be at least 64")
+    layer = medium.layer_of(pN)
+    if layer == 1:
+        return OracleResult(p0.dist(pN) / medium.speeds[0], (), 0.0)
+    medium = medium.truncated(layer)
     lo, hi = medium.domain
     c = medium.speeds
     bounds = medium.boundaries
-    xg, xs, _ = _dp_min_chain(medium, p0, pN, grid)
+    xg, xs, _ = _dp_min_chain(medium, p0, pN, grid, workers)
     spacing = (hi - lo) / (grid - 1)
     K = len(xs)
+
+    def leg(j, xa, za, xb, zb):  # travel time of segment j
+        return math.hypot(xb - xa, zb - za) / c[j]
 
     def chain_tof(xvec):
         X = [p0.x] + list(xvec) + [pN.x]
         Z = [p0.z] + [bounds[i]._eval(xvec[i]) for i in range(K)] + [pN.z]
-        return sum(math.hypot(X[i + 1] - X[i], Z[i + 1] - Z[i]) / c[i]
+        return sum(leg(i, X[i], Z[i], X[i + 1], Z[i + 1])
                    for i in range(K + 1))
 
-    xs = list(xs)
+    # The path's vertices and segment times; crossing i is vertex i + 1.
+    X = [p0.x] + xs + [pN.x]
+    Z = [p0.z] + [bounds[i]._eval(xs[i]) for i in range(K)] + [pN.z]
+    seg = [leg(j, X[j], Z[j], X[j + 1], Z[j + 1]) for j in range(K + 1)]
     for _ in range(refine_iters):
         for i in range(K):
-            a = max(lo, xs[i] - 2 * spacing)
-            b = min(hi, xs[i] + 2 * spacing)
+            a = max(lo, X[i + 1] - 2 * spacing)
+            b = min(hi, X[i + 1] + 2 * spacing)
 
             def f(x, i=i):
-                trial = xs.copy()
-                trial[i] = x
-                return chain_tof(trial)
+                z = bounds[i]._eval(x)
+                return sum(seg[:i] + [leg(i, X[i], Z[i], x, z),
+                                      leg(i + 1, x, z, X[i + 2], Z[i + 2])]
+                           + seg[i + 2:])
 
-            xs[i] = _golden_min(f, a, b)
+            X[i + 1] = _golden_min(f, a, b)
+            Z[i + 1] = bounds[i]._eval(X[i + 1])
+            seg[i] = leg(i, X[i], Z[i], X[i + 1], Z[i + 1])
+            seg[i + 1] = leg(i + 1, X[i + 1], Z[i + 1], X[i + 2], Z[i + 2])
 
+    xs = X[1:-1]
     tof = chain_tof(xs)
     # Conservative accuracy estimate from per-coordinate curvature.
     curv = 0.0

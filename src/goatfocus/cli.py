@@ -268,7 +268,8 @@ def cmd_oracle(args) -> int:
     if args.grid < 64:
         raise ScenarioError("--grid must be at least 64")
     sol = solve(scn.medium, p0, pN, scn.solver)
-    res = fermat_oracle(scn.medium, p0, pN, grid=args.grid, refine_iters=60)
+    res = fermat_oracle(scn.medium, p0, pN, grid=args.grid, refine_iters=60,
+                        workers=args.threads)
     diff = abs(sol.tof - res.tof)
     threshold = max(res.bound, 1e-9 * sol.tof)
     _emit({
@@ -341,9 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"goatfocus {__version__}")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for ToF maps, channel synthesis "
-                             "and delay-and-sum, at least 1 (results are "
-                             "independent of this)")
+                        help="worker threads for ToF maps, channel synthesis, "
+                             "delay-and-sum and the oracle's dynamic-program "
+                             "blocks, at least 1 (results are independent of "
+                             "this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):

@@ -1,11 +1,15 @@
 """Condition checkers, stationarity equivalence, level sets, Fermat oracle."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from goatfocus import analysis
 from goatfocus.analysis import (
+    _golden_min,
     bracket_scan,
     check_no_total_reflection,
     check_unique_intersection,
@@ -33,6 +37,7 @@ from cases import (
     TABLE2_SOURCES,
     homogeneous_medium,
     oscillating_medium,
+    proxon_medium,
     random_endpoints,
     random_medium,
     setting1_medium,
@@ -340,3 +345,134 @@ class TestFermatOracle:
         sol = solve(med, p0, pN)
         assert res.bound > 0
         assert abs(sol.tof - res.tof) <= res.bound
+
+
+def _reference_dp(medium, p0, pN, grid):
+    """The chunked dynamic program the blocked one replaced."""
+    lo, hi = medium.domain
+    c = medium.speeds
+    xg = np.linspace(lo, hi, grid)
+    zs = [np.asarray(b._eval(xg), dtype=float) for b in medium.boundaries]
+    K = len(zs)
+    cost = np.hypot(xg - p0.x, zs[0] - p0.z) / c[0]
+    back = []
+    chunk = max(1, int(4e6 // grid))
+    for i in range(1, K):
+        new_cost = np.empty(grid)
+        arg = np.empty(grid, dtype=np.int64)
+        for s in range(0, grid, chunk):
+            e = min(s + chunk, grid)
+            d = np.hypot(xg[s:e, None] - xg[None, :],
+                         zs[i][s:e, None] - zs[i - 1][None, :]) / c[i]
+            tot = d + cost[None, :]
+            arg[s:e] = np.argmin(tot, axis=1)
+            new_cost[s:e] = tot[np.arange(e - s), arg[s:e]]
+        cost = new_cost
+        back.append(arg)
+    final = cost + np.hypot(pN.x - xg, pN.z - zs[-1]) / c[K]
+    j = int(np.argmin(final))
+    idx = [j]
+    for arg in reversed(back):
+        idx.append(int(arg[idx[-1]]))
+    idx.reverse()
+    return [float(xg[i]) for i in idx]
+
+
+def _reference_oracle(medium, p0, pN, grid, refine_iters):
+    """The Fermat oracle as it was before blocked DP and cached segments:
+    every refinement trial rebuilds the whole chain.  Valid for a focus
+    below the last interface."""
+    lo, hi = medium.domain
+    c = medium.speeds
+    bounds = medium.boundaries
+    xs = _reference_dp(medium, p0, pN, grid)
+    spacing = (hi - lo) / (grid - 1)
+    K = len(xs)
+
+    def chain_tof(xvec):
+        X = [p0.x] + list(xvec) + [pN.x]
+        Z = [p0.z] + [bounds[i]._eval(xvec[i]) for i in range(K)] + [pN.z]
+        return sum(math.hypot(X[i + 1] - X[i], Z[i + 1] - Z[i]) / c[i]
+                   for i in range(K + 1))
+
+    for _ in range(refine_iters):
+        for i in range(K):
+            a = max(lo, xs[i] - 2 * spacing)
+            b = min(hi, xs[i] + 2 * spacing)
+
+            def f(x, i=i):
+                trial = xs.copy()
+                trial[i] = x
+                return chain_tof(trial)
+
+            xs[i] = _golden_min(f, a, b)
+    tof = chain_tof(xs)
+    curv = 0.0
+    for i in range(K):
+        hh = max(spacing * 1e-3, 1e-9)
+        up, dn = xs.copy(), xs.copy()
+        up[i] += hh
+        dn[i] -= hh
+        curv = max(curv, abs(chain_tof(up) + chain_tof(dn) - 2 * tof) / hh**2)
+    return tof, tuple(xs), spacing**2 * curv
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(16)
+    cases = [(setting3_medium(), TABLE2_SOURCES[0], TABLE2_FOCUS),
+             (oscillating_medium(), Point2(10 * MM, 5 * MM),
+              Point2(45 * MM, 50 * MM)),
+             (proxon_medium(), Point2(-3 * MM, 0.0), Point2(4 * MM, 25 * MM))]
+    for n_layers in (3, 4):
+        med = random_medium(rng, n_layers=n_layers)
+        cases.append((med, *random_endpoints(rng, med)))
+    return cases
+
+
+class TestFermatOracleBlocks:
+    GRID = 512  # 512 = 73 * 7 + 1: the last block of 7 rows holds one
+
+    def test_bit_identical_to_reference_at_any_worker_count(self):
+        switch = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_DP_BLOCK", 7 * self.GRID)
+            try:
+                sys.setswitchinterval(1e-6)
+                for med, p0, pN in _oracle_cases():
+                    want = _reference_oracle(med, p0, pN, self.GRID, 60)
+                    for workers in (1, 2, 3):
+                        res = fermat_oracle(med, p0, pN, grid=self.GRID,
+                                            refine_iters=60, workers=workers)
+                        assert (res.tof, res.xs, res.bound) == want
+            finally:
+                sys.setswitchinterval(switch)
+
+    def test_memory_bounded_at_full_grid(self):
+        # The chunked DP held about 150 MB of (rows, grid) temporaries here.
+        med = setting3_medium()
+        tracemalloc.start()
+        try:
+            fermat_oracle(med, TABLE2_SOURCES[0], TABLE2_FOCUS, grid=4096,
+                          refine_iters=1, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_first_layer_focus_is_the_straight_ray(self):
+        med = setting3_medium()
+        p0, pN = Point2(20 * MM, 0.0), Point2(18 * MM, 20 * MM)
+        res = fermat_oracle(med, p0, pN, grid=256)
+        assert res.tof == p0.dist(pN) / med.speeds[0]
+        assert res.xs == ()
+        assert res.bound == 0.0
+
+    def test_middle_layer_focus_crosses_only_the_interfaces_above(self):
+        med = setting3_medium()
+        p0, pN = Point2(20 * MM, 0.0), Point2(18 * MM, 35.5 * MM)
+        assert med.layer_of(pN) == 2
+        res = fermat_oracle(med, p0, pN, grid=256)
+        assert len(res.xs) == 1
+        assert res == fermat_oracle(med.truncated(2), p0, pN, grid=256)
+        sol = solve(med, p0, pN)
+        assert abs(sol.tof - res.tof) <= max(res.bound, 1e-9 * sol.tof)

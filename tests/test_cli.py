@@ -396,6 +396,37 @@ class TestCmdOracle:
         assert rep["pass"] is True
         assert rep["difference_s"] <= rep["threshold_s"]
 
+    @pytest.mark.parametrize("scenario, source, focus", [
+        ("setting3", "20", "18,20"),
+        ("proxon", "3", "1,5"),
+    ])
+    def test_first_layer_focus_passes(self, capsys, scenario, source, focus):
+        # The oracle once forced the path through every interface, so a
+        # focus above the last one failed against the solver's shallow ray.
+        code, out, _ = run(capsys, "oracle", "--scenario", scenario,
+                           "--source", source, "--focus", focus,
+                           "--grid", "256")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["pass"] is True
+        assert rep["oracle_bound_s"] == 0.0
+
+    def test_threads_reach_the_oracle(self, capsys, monkeypatch):
+        real = cli.fermat_oracle
+        seen = []
+
+        def wrapper(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fermat_oracle", wrapper)
+        code, _, _ = run(capsys, "--threads", "3", "oracle", "--scenario",
+                         "setting1", "--grid", "256")
+        assert code == 0
+        assert seen == [3]
+
     def test_grid_below_minimum_exit_2(self, capsys):
         code, out, err = run(capsys, "oracle", "--scenario", "setting1",
                              "--grid", "10")
