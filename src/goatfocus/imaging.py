@@ -25,6 +25,7 @@ from .goatsolve import SolverOptions
 from .medium import Constant, Medium, Point2
 
 DB_FLOOR = -60.0
+MIN_ENVELOPE_SAMPLES = 16  # shortest trace :func:`envelope` accepts
 _PULSE_SUPPORT_FLOOR = 1e-8  # envelope fraction treated as zero
 # Transmits per indexed add in synthesis; bounds its temporaries.
 _SYNTH_TX_ROWS = 8
@@ -187,7 +188,7 @@ def envelope(trace) -> np.ndarray:
     shape as the input."""
     trace = np.asarray(trace, dtype=float)
     n = trace.shape[-1]
-    if n < 16:
+    if n < MIN_ENVELOPE_SAMPLES:
         raise ValueError("trace too short for envelope extraction")
     h = np.zeros(n)
     h[0] = 1.0
@@ -270,43 +271,42 @@ def _shared_tof_maps(medium: Medium, sources, grid: ImageGrid,
     (ix, iz) at ix * nz + iz), and a view of ``base``.  Through flat
     (:class:`Constant`) interfaces, the ToF from a source at (x_s, z_s) to
     a pixel (x, z) depends only on (x - x_s, z).  So when every source has
-    the same z_s, the offsets x - x_s of all (source, pixel column) pairs
-    are grouped to within ``_OFFSET_TOL`` of the pixel spacing and ordered
-    by (offset modulo the pixel spacing, offset), and one :func:`tof_maps`
-    call solves a (distinct offsets, nz) table from a source at the middle
-    of the lateral domain.  Each source's offsets are then one run of nx
-    table rows, so its map is the view ``table[a:a + nx].reshape(-1)``.
-    The maps are solved one per source instead, into a (len(sources), nx,
-    nz) ``base``, when an interface is not flat, the sources do not share
-    one z, a source, a pixel or a translated target lies outside the
-    lateral domain, or a source's offsets do not form one run; and in a
-    medium of one speed, where :func:`tof_maps` gives the straight rays in
-    closed form, bit-identical to the hmfa engine's.
+    the same z_s, one :func:`tof_maps` call solves a (distinct offsets, nz)
+    table from x = 0 in a medium of one speed (rows in closed form), else
+    from the domain's middle.  Source m's column j is keyed ``round(off[m,
+    0] / unit) + j * step`` (``unit = _OFFSET_TOL * dx``, ``step = 1 /
+    _OFFSET_TOL``); rows, one per key at its first offset, are ordered by
+    (key modulo ``step``, key), so each map is ``table[a:a + nx]``, flat.
+    Each map is solved alone, into a (len(sources), nx, nz) ``base``, if an
+    interface is not flat, the sources do not share one z, nx = 1, an
+    offset is over 2 ``unit`` from its row's (uneven columns), or, with
+    more than one speed, a source, pixel or target is outside the domain.
     """
     sources = list(sources)
     lo, hi = medium.domain
-    mid = 0.5 * (lo + hi)
     nx = grid.x.size
-    if (len(set(medium.speeds)) > 1 and nx > 1
-            and all(isinstance(b, Constant) for b in medium.boundaries)
+    if (nx > 1 and all(isinstance(b, Constant) for b in medium.boundaries)
             and len({p.z for p in sources}) == 1):
         xs = np.array([p.x for p in sources])
         off = grid.x[None, :] - xs[:, None]
-        key = np.round(off / (_OFFSET_TOL * abs(grid.x[1] - grid.x[0])))
+        unit = _OFFSET_TOL * (grid.x[1] - grid.x[0])
+        step = round(1.0 / _OFFSET_TOL)
+        key = np.round(off[:, :1] / unit) + step * np.arange(nx)
         uniq, first, inv = np.unique(key, return_index=True,
                                      return_inverse=True)
-        # Keys one pixel spacing apart differ by 1 / _OFFSET_TOL; uniq is
-        # sorted, so a stable sort on the class keeps offset order in it.
-        order = np.argsort(uniq % round(1.0 / _OFFSET_TOL), kind="stable")
-        runs = np.argsort(order)[inv].reshape(off.shape)  # each offset's row
-        cols = mid + off.flat[first[order]]
-        lateral = np.concatenate((xs, grid.x, cols))
-        if (np.all(runs == runs[:, :1] + np.arange(nx))
-                and lo <= lateral.min() and lateral.max() <= hi):
-            tx, tz = np.meshgrid(cols, grid.z, indexing="ij")
-            table = tof_maps(medium, [Point2(mid, sources[0].z)], tx, tz,
+        # uniq is sorted, so a stable sort on the class keeps key order in it.
+        order = np.argsort(uniq % step, kind="stable")
+        rows = np.argsort(order)[inv].reshape(off.shape)  # each column's row
+        reps = off.flat[first[order]]
+        one_speed = len(set(medium.speeds)) == 1
+        x_s = 0.0 if one_speed else 0.5 * (lo + hi)
+        lateral = np.concatenate((xs, grid.x, x_s + reps))
+        if (np.all(np.abs(off - reps[rows]) <= 2.0 * abs(unit))
+                and (one_speed or lo <= lateral.min() <= lateral.max() <= hi)):
+            tx, tz = np.meshgrid(x_s + reps, grid.z, indexing="ij")
+            table = tof_maps(medium, [Point2(x_s, sources[0].z)], tx, tz,
                              opts, workers=workers)[0]
-            return table, [table[a:a + nx].reshape(-1) for a in runs[:, 0]]
+            return table, [table[a:a + nx].reshape(-1) for a in rows[:, 0]]
     gx, gz = np.meshgrid(grid.x, grid.z, indexing="ij")
     base = tof_maps(medium, sources, gx, gz, opts, workers=workers)
     return base, base.reshape(len(sources), -1)
@@ -326,27 +326,20 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     applies the per-column envelope and dB compression with the peak at
     exactly 0 dB and a -60 dB display floor.  Pixels whose delays failed are
     absent: NaN in linear scale, floor value in dB, excluded from the
-    normalization.  The goat ToF maps come from :func:`_shared_tof_maps`:
-    in a medium of flat interfaces, with every element at one depth, they
-    are views of one ToF table over (pixel - element lateral offsets x grid
-    rows); that function lists the cases where each element's map is
-    solved on its own.  ``workers`` threads share the ToF solves and the
-    delay-and-sum; the image does not depend on their number.
+    normalization.  hmfa images through one speed, ``reference_speed``, goat
+    through ``medium``; both get their ToF maps from :func:`_shared_tof_maps`.
+    ``workers`` threads share the ToF solves and the delay-and-sum; the
+    image does not depend on their number.
     """
     nz, nx = grid.z.size, grid.x.size
     if engine == "hmfa":
-        base = np.empty((len(array), nx, nz))
-        for m, p in enumerate(array.element_positions):  # one at a time
-            np.hypot(grid.x[:, None] - p.x, grid.z - p.z, out=base[m])
-        base /= reference_speed
-        maps = base.reshape(len(array), -1)
-    elif engine == "goat":
-        if medium is None:
-            raise ValueError("the goat engine requires a medium")
-        base, maps = _shared_tof_maps(medium, array.element_positions, grid,
-                                      opts, workers)
-    else:
+        medium = Medium((reference_speed,), (), (grid.x[0], grid.x[-1]))
+    elif engine != "goat":
         raise ValueError(f"unknown engine {engine!r}")
+    elif medium is None:
+        raise ValueError("the goat engine requires a medium")
+    base, maps = _shared_tof_maps(medium, array.element_positions, grid,
+                                  opts, workers)
     # Scale and zero the base once; the maps are views of it.
     base *= channels.sample_rate
     absent = np.zeros(nx * nz, dtype=bool)

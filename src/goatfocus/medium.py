@@ -277,7 +277,7 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Medium:
-    """An ordered stack of N >= 2 constant-speed layers over [x_lo, x_hi].
+    """An ordered stack of N >= 1 constant-speed layers over [x_lo, x_hi].
 
     ``speeds[i]`` is the sound speed of layer i+1 (between boundaries i and
     i+1; layer 1 sits above ``boundaries[0]``).  Immutable after creation;

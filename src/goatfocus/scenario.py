@@ -21,7 +21,7 @@ from . import __version__
 from .errors import ScenarioError
 from .focusing import ElementArray, linear_array
 from .goatsolve import SolverOptions
-from .imaging import ImageGrid, Pulse
+from .imaging import MIN_ENVELOPE_SAMPLES, ImageGrid, Pulse
 from .medium import (
     _DOMAIN_SLACK,
     Constant,
@@ -206,10 +206,16 @@ def loads(text: str | bytes) -> Scenario:
                       "imaging")
         g = spec["grid"]
         _require_keys(g, {"x", "z", "spacing"}, set(), "imaging.grid")
-        grid = ImageGrid.from_extent(
-            _number(g["x"][0], "grid") * scale, _number(g["x"][1], "grid") * scale,
-            _number(g["z"][0], "grid") * scale, _number(g["z"][1], "grid") * scale,
-            _number(g["spacing"], "grid") * scale)
+        ext = {a: [_number(v, f"imaging.grid.{a}") * scale for v in g[a]] for a in "xz"}
+        spacing = _number(g["spacing"], "imaging.grid.spacing") * scale
+        if spacing <= 0:
+            raise ScenarioError(f"imaging.grid.spacing: {g['spacing']!r} is not positive")
+        for a in "xz":
+            if len(ext[a]) != 2 or ext[a][1] < ext[a][0]:
+                raise ScenarioError(f"imaging.grid.{a}: expected [lo, hi], lo <= hi, got {g[a]!r}")
+        grid = ImageGrid.from_extent(*ext["x"], *ext["z"], spacing)
+        if grid.z.size < MIN_ENVELOPE_SAMPLES:
+            raise ScenarioError(f"imaging.grid.z: need {MIN_ENVELOPE_SAMPLES} depth rows, got {grid.z.size}")
         scatterers = []
         for i, s in enumerate(spec["scatterers"]):
             if not (isinstance(s, list) and len(s) == 3):
