@@ -17,10 +17,22 @@ import numpy as np
 
 from .batch import tof_batch
 from .errors import GoatFocusError
-from .goatsolve import SolverOptions, hmfa_tof
+from .goatsolve import SolverOptions
 from .medium import Medium, Point2
 
 HMFA_REFERENCE_SPEED = 1540.0
+
+
+def engine_medium(engine: str, medium: Medium | None) -> Medium:
+    """The medium ``engine`` solves times of flight through: ``medium`` for
+    goat, one unbounded layer at :data:`HMFA_REFERENCE_SPEED` for hmfa."""
+    if engine == "hmfa":
+        return Medium((HMFA_REFERENCE_SPEED,), (), (-np.inf, np.inf))
+    if engine != "goat":
+        raise ValueError(f"unknown engine {engine!r}")
+    if medium is None:
+        raise ValueError("the goat engine requires a medium")
+    return medium
 
 
 @dataclass(frozen=True)
@@ -92,21 +104,12 @@ def receive_delays(tofs, t_transmit: float) -> np.ndarray:
 
 
 def element_focus_tofs(array: ElementArray, foci, medium: Medium | None,
-                       engine: str, opts: SolverOptions = SolverOptions(),
-                       reference_speed: float = HMFA_REFERENCE_SPEED) -> np.ndarray:
+                       engine: str,
+                       opts: SolverOptions = SolverOptions()) -> np.ndarray:
     """ToF matrix (element, focus) under the chosen engine; NaN on failure."""
+    medium = engine_medium(engine, medium)
     foci = list(foci)
-    M = len(array)
-    tofs = np.empty((M, len(foci)))
-    if engine == "hmfa":
-        for k, f in enumerate(foci):
-            for m, e in enumerate(array.element_positions):
-                tofs[m, k] = hmfa_tof(e, f, reference_speed)
-        return tofs
-    if engine != "goat":
-        raise ValueError(f"unknown engine {engine!r}")
-    if medium is None:
-        raise ValueError("the goat engine requires a medium")
+    tofs = np.empty((len(array), len(foci)))
     fx = np.array([f.x for f in foci])
     fz = np.array([f.z for f in foci])
     for m, e in enumerate(array.element_positions):
@@ -117,8 +120,7 @@ def element_focus_tofs(array: ElementArray, foci, medium: Medium | None,
 def build_delay_table(array: ElementArray, foci, medium: Medium | None,
                       engine: str, kind: str,
                       opts: SolverOptions = SolverOptions(),
-                      transmit_element: int | None = None,
-                      reference_speed: float = HMFA_REFERENCE_SPEED) -> DelayTable:
+                      transmit_element: int | None = None) -> DelayTable:
     """Delay table over (element, focus) pairs.
 
     ``kind="transmit"`` applies the latest-arrival alignment per focus.
@@ -129,8 +131,7 @@ def build_delay_table(array: ElementArray, foci, medium: Medium | None,
     if kind not in ("transmit", "receive"):
         raise ValueError(f"unknown delay kind {kind!r}")
     foci = tuple(foci)
-    tofs = element_focus_tofs(array, foci, medium, engine, opts,
-                              reference_speed)
+    tofs = element_focus_tofs(array, foci, medium, engine, opts)
     failures = [(m, k, "no refracted path")
                 for m, k in zip(*np.nonzero(~np.isfinite(tofs)))]
     if len(failures) == tofs.size and tofs.size:

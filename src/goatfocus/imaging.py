@@ -20,7 +20,7 @@ from numpy import fft
 
 from .batch import tof_maps
 from .errors import RoiError
-from .focusing import ElementArray
+from .focusing import ElementArray, engine_medium
 from .goatsolve import SolverOptions
 from .medium import Constant, Medium, Point2
 
@@ -278,14 +278,16 @@ def _shared_tof_maps(medium: Medium, sources, grid: ImageGrid,
     _OFFSET_TOL``); rows, one per key at its first offset, are ordered by
     (key modulo ``step``, key), so each map is ``table[a:a + nx]``, flat.
     Each map is solved alone, into a (len(sources), nx, nz) ``base``, if an
-    interface is not flat, the sources do not share one z, nx = 1, an
-    offset is over 2 ``unit`` from its row's (uneven columns), or, with
-    more than one speed, a source, pixel or target is outside the domain.
+    interface is not flat, the sources do not share one z, nx = 1 or
+    x[1] = x[0] (no ``unit``), an offset is over 2 ``unit`` from its row's
+    (uneven columns), or, with more than one speed, a source, pixel or
+    target is outside the domain.
     """
     sources = list(sources)
     lo, hi = medium.domain
     nx = grid.x.size
-    if (nx > 1 and all(isinstance(b, Constant) for b in medium.boundaries)
+    if (nx > 1 and grid.x[1] != grid.x[0]
+            and all(isinstance(b, Constant) for b in medium.boundaries)
             and len({p.z for p in sources}) == 1):
         xs = np.array([p.x for p in sources])
         off = grid.x[None, :] - xs[:, None]
@@ -316,7 +318,6 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
                  array: ElementArray, grid: ImageGrid, engine: str,
                  scale: str = "db",
                  opts: SolverOptions = SolverOptions(),
-                 reference_speed: float = 1540.0,
                  workers: int = 1) -> Image:
     """Delay-and-sum image over the pixel grid.
 
@@ -326,18 +327,12 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     applies the per-column envelope and dB compression with the peak at
     exactly 0 dB and a -60 dB display floor.  Pixels whose delays failed are
     absent: NaN in linear scale, floor value in dB, excluded from the
-    normalization.  hmfa images through one speed, ``reference_speed``, goat
-    through ``medium``; both get their ToF maps from :func:`_shared_tof_maps`.
+    normalization.  Both engines' ToF maps come from :func:`_shared_tof_maps`.
     ``workers`` threads share the ToF solves and the delay-and-sum; the
     image does not depend on their number.
     """
     nz, nx = grid.z.size, grid.x.size
-    if engine == "hmfa":
-        medium = Medium((reference_speed,), (), (grid.x[0], grid.x[-1]))
-    elif engine != "goat":
-        raise ValueError(f"unknown engine {engine!r}")
-    elif medium is None:
-        raise ValueError("the goat engine requires a medium")
+    medium = engine_medium(engine, medium)
     base, maps = _shared_tof_maps(medium, array.element_positions, grid,
                                   opts, workers)
     # Scale and zero the base once; the maps are views of it.

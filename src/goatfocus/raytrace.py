@@ -101,23 +101,19 @@ def refract(sin_theta_in: float, c_in: float, c_out: float) -> float:
     return s
 
 
-def next_direction(tan_alpha: float, sin_theta_out: float,
-                   downward: bool = True) -> tuple[float, float]:
+def next_direction(tan_alpha: float,
+                   sin_theta_out: float) -> tuple[float, float]:
     """Unit direction of the transmitted ray.
 
-    Composes the transmitted sine along the unit tangent with the matching
-    cosine along the inward (transmission-side) unit normal; for downward
-    propagation the normal is (-tan_alpha, 1)/sqrt(1 + tan_alpha^2).
+    Composes the transmitted sine along the unit tangent (tx, tz) with the
+    matching cosine along the inward (transmission-side) unit normal; rays
+    propagate downward, so the normal is (-tz, tx).
     """
     t_norm = math.sqrt(1.0 + tan_alpha * tan_alpha)
     tx, tz = 1.0 / t_norm, tan_alpha / t_norm
-    if downward:
-        nx, nz = -tz, tx
-    else:
-        nx, nz = tz, -tx
     cos_out = math.sqrt(max(0.0, 1.0 - sin_theta_out * sin_theta_out))
-    return (sin_theta_out * tx + cos_out * nx,
-            sin_theta_out * tz + cos_out * nz)
+    return (sin_theta_out * tx - cos_out * tz,
+            sin_theta_out * tz + cos_out * tx)
 
 
 def _intersect_line(ox, oz, dx, dz, k, d):

@@ -84,6 +84,24 @@ def _number(v, where):
     return x
 
 
+def _list(v, where) -> list:
+    if not isinstance(v, list):
+        raise ScenarioError(f"{where}: expected a list, got {v!r}")
+    return v
+
+
+def _count(v, where) -> int:
+    if type(v) is not int or v < 0:  # a JSON bool is no count
+        raise ScenarioError(f"{where}: expected an integer >= 0, got {v!r}")
+    return v
+
+
+def _flag(v, where) -> bool:
+    if not isinstance(v, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {v!r}")
+    return v
+
+
 def _point(v, scale, where) -> Point2:
     if not (isinstance(v, list) and len(v) == 2):
         raise ScenarioError(f"{where}: expected [x, z]")
@@ -159,21 +177,23 @@ def loads(text: str | bytes) -> Scenario:
         raise ScenarioError("medium.domain: expected [x_lo, x_hi]")
     domain = (_number(dom_raw[0], "medium.domain") * scale,
               _number(dom_raw[1], "medium.domain") * scale)
-    speeds = tuple(_number(c, "medium.speeds") for c in med_spec["speeds"])
+    speeds = tuple(_number(c, "medium.speeds")
+                   for c in _list(med_spec["speeds"], "medium.speeds"))
     boundaries = tuple(
         _boundary(b, scale, domain, f"medium.boundaries[{i}]")
-        for i, b in enumerate(med_spec["boundaries"]))
+        for i, b in enumerate(_list(med_spec["boundaries"],
+                                    "medium.boundaries")))
     medium = Medium(speeds, boundaries, domain)
     report = validate_medium(medium)
     if not report.ok:
         raise ScenarioError("invalid medium: " + "; ".join(report.violations))
 
     sources = tuple(_point(p, scale, f"sources[{i}]")
-                    for i, p in enumerate(doc["sources"]))
+                    for i, p in enumerate(_list(doc["sources"], "sources")))
     for i, p in enumerate(sources):
         require_first_layer(medium, p, f"sources[{i}]")
     foci = tuple(_point(p, scale, f"foci[{i}]")
-                 for i, p in enumerate(doc["foci"]))
+                 for i, p in enumerate(_list(doc["foci"], "foci")))
 
     array = None
     if "array" in doc:
@@ -206,7 +226,8 @@ def loads(text: str | bytes) -> Scenario:
                       "imaging")
         g = spec["grid"]
         _require_keys(g, {"x", "z", "spacing"}, set(), "imaging.grid")
-        ext = {a: [_number(v, f"imaging.grid.{a}") * scale for v in g[a]] for a in "xz"}
+        ext = {a: [_number(v, f"imaging.grid.{a}") * scale
+                   for v in _list(g[a], f"imaging.grid.{a}")] for a in "xz"}
         spacing = _number(g["spacing"], "imaging.grid.spacing") * scale
         if spacing <= 0:
             raise ScenarioError(f"imaging.grid.spacing: {g['spacing']!r} is not positive")
@@ -217,7 +238,7 @@ def loads(text: str | bytes) -> Scenario:
         if grid.z.size < MIN_ENVELOPE_SAMPLES:
             raise ScenarioError(f"imaging.grid.z: need {MIN_ENVELOPE_SAMPLES} depth rows, got {grid.z.size}")
         scatterers = []
-        for i, s in enumerate(spec["scatterers"]):
+        for i, s in enumerate(_list(spec["scatterers"], "imaging.scatterers")):
             if not (isinstance(s, list) and len(s) == 3):
                 raise ScenarioError(f"imaging.scatterers[{i}]: expected [x, z, amp]")
             scatterers.append((_point(s[:2], scale, "scatterer"),
@@ -228,15 +249,12 @@ def loads(text: str | bytes) -> Scenario:
     solver = SolverOptions()
     if "solver" in doc:
         spec = doc["solver"]
-        _require_keys(spec, set(), {"tol_residual", "max_newton_iters",
-                                    "max_backtracks", "bisection_fallback"},
-                      "solver")
+        fields = {"tol_residual": _number, "max_newton_iters": _count,
+                  "max_backtracks": _count, "bisection_fallback": _flag}
+        _require_keys(spec, set(), fields, "solver")
         try:
-            solver = SolverOptions(
-                tol_residual=float(spec.get("tol_residual", 1e-12)),
-                max_newton_iters=int(spec.get("max_newton_iters", 25)),
-                max_backtracks=int(spec.get("max_backtracks", 8)),
-                bisection_fallback=bool(spec.get("bisection_fallback", True)))
+            solver = SolverOptions(**{k: fields[k](v, f"solver.{k}")
+                                      for k, v in spec.items()})
         except ValueError as exc:
             raise ScenarioError(f"solver: {exc}") from exc
 

@@ -53,6 +53,11 @@ def _imaging(**grid):
     return doc["imaging"]
 
 
+def _medium(**fields):
+    """MINIMAL's medium block with fields replaced."""
+    return dict(MINIMAL["medium"], **fields)
+
+
 class TestScenarioSchema:
     def test_minimal_loads(self):
         scn = loads(json.dumps(MINIMAL))
@@ -500,6 +505,40 @@ class TestNonFiniteInput:
         pytest.param("imaging", _imaging(spacing=50),
                      "imaging.grid.z: need 16 depth rows, got 1",
                      id="too-few-depth-rows"),
+        pytest.param("sources", 5, "sources: expected a list, got 5",
+                     id="number-sources"),
+        pytest.param("foci", None, "foci: expected a list, got None",
+                     id="null-foci"),
+        pytest.param("medium", _medium(speeds=2.0),
+                     "medium.speeds: expected a list, got 2.0",
+                     id="number-speeds"),
+        pytest.param("medium", _medium(boundaries=None),
+                     "medium.boundaries: expected a list, got None",
+                     id="null-boundaries"),
+        pytest.param("imaging", dict(_imaging(), scatterers=5),
+                     "imaging.scatterers: expected a list, got 5",
+                     id="number-scatterers"),
+        pytest.param("imaging", _imaging(x=5),
+                     "imaging.grid.x: expected a list, got 5",
+                     id="number-grid-x"),
+        pytest.param("imaging", _imaging(z=None),
+                     "imaging.grid.z: expected a list, got None",
+                     id="null-grid-z"),
+        pytest.param("solver", {"max_newton_iters": None},
+                     "solver.max_newton_iters: expected an integer >= 0, "
+                     "got None", id="null-newton-iters"),
+        pytest.param("solver", {"max_newton_iters": 2.5},
+                     "solver.max_newton_iters: expected an integer >= 0, "
+                     "got 2.5", id="fractional-newton-iters"),
+        pytest.param("solver", {"max_backtracks": -1},
+                     "solver.max_backtracks: expected an integer >= 0, "
+                     "got -1", id="negative-backtracks"),
+        pytest.param("solver", {"tol_residual": None},
+                     "solver.tol_residual: expected a number, got None",
+                     id="null-tolerance"),
+        pytest.param("solver", {"bisection_fallback": "no"},
+                     "solver.bisection_fallback: expected true or false, "
+                     "got 'no'", id="string-fallback"),
     ])
     def test_scenario_document_exit_2(self, capsys, tmp_path, field, value,
                                       message):

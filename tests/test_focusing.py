@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+from goatfocus import focusing
 from goatfocus.focusing import (
+    HMFA_REFERENCE_SPEED,
     ElementArray,
     build_delay_table,
+    element_focus_tofs,
     linear_array,
     receive_delays,
     transmit_delays,
     write_delay_csv,
 )
+from goatfocus.imaging import ChannelDataSet, ImageGrid, das_beamform
 from goatfocus.medium import Point2
+from goatfocus.scenario import load
 
 from cases import MM, homogeneous_medium, proxon_medium, setting1_medium
 
@@ -62,12 +67,53 @@ class TestReceiveDelays:
 
 class TestBuildDelayTable:
     def test_homogeneous_goat_equals_hmfa(self):
-        med = homogeneous_medium()
-        arr = linear_array(16, 0.5 * MM)
-        foci = [Point2(0.0, 28 * MM), Point2(4 * MM, 33 * MM)]
-        goat = build_delay_table(arr, foci, med, "goat", "transmit")
-        hmfa = build_delay_table(arr, foci, None, "hmfa", "transmit")
-        assert np.max(np.abs(goat.delays - hmfa.delays)) <= 1e-15
+        # Both engines solve the same closed-form straight rays, so
+        # through one speed their tables agree bit for bit.
+        scn = load("homogeneous")
+        foci = [Point2(x * MM, z * MM) for x in np.linspace(-8, 8, 17)
+                for z in np.linspace(21, 35, 8)]
+        for kind, tx in (("transmit", None), ("receive", 3)):
+            goat = build_delay_table(scn.array, foci, scn.medium, "goat",
+                                     kind, transmit_element=tx)
+            hmfa = build_delay_table(scn.array, foci, None, "hmfa", kind,
+                                     transmit_element=tx)
+            assert goat.delays.shape == (32, 17 * 8)
+            assert np.array_equal(goat.delays, hmfa.delays)
+
+    def test_hmfa_solves_each_element_through_one_speed(self, monkeypatch):
+        seen = []
+        real = focusing.tof_batch
+
+        def recording(medium, src, tx, tz, opts):
+            seen.append((medium, src))
+            return real(medium, src, tx, tz, opts)
+
+        monkeypatch.setattr(focusing, "tof_batch", recording)
+        arr = linear_array(8, 0.5 * MM)
+        foci = (Point2(x * MM, 20 * MM) for x in (-2, 0, 3))  # a generator
+        tofs = element_focus_tofs(arr, foci, proxon_medium(), "hmfa")
+        assert tofs.shape == (8, 3)
+        assert [src for _, src in seen] == list(arr.element_positions)
+        for medium, _ in seen:
+            assert medium.speeds == (HMFA_REFERENCE_SPEED,)
+            assert medium.boundaries == ()
+
+    @pytest.mark.parametrize("engine, message", [
+        ("straight", "unknown engine 'straight'"),
+        ("goat", "the goat engine requires a medium"),
+    ])
+    @pytest.mark.parametrize("entry", ["build_delay_table", "das_beamform"])
+    def test_entry_points_reject_bad_engine(self, entry, engine, message):
+        arr = linear_array(4, 0.5 * MM)
+        with pytest.raises(ValueError, match=message):
+            if entry == "build_delay_table":
+                build_delay_table(arr, [Point2(0.0, 20 * MM)], None, engine,
+                                  "transmit")
+            else:
+                channels = ChannelDataSet(np.zeros((4, 4, 16)), 4e7)
+                grid = ImageGrid(np.array([0.0, 1 * MM]),
+                                 np.linspace(10, 25, 16) * MM)
+                das_beamform(channels, None, arr, grid, engine)
 
     def test_layered_delay_difference_grows_laterally(self):
         # Centered focus below a slower surface layer: the refraction

@@ -9,6 +9,7 @@ unchanged.  The hmfa engine's maps are the table of a one-speed medium.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -209,13 +210,20 @@ def _fallbacks():
             ImageGrid(np.sort(np.append(_grid().x, 0.13 * MM)), _grid().z)),
         "one-pixel-column": (proxon_medium(), arr.element_positions,
                              ImageGrid(np.array([1 * MM]), _grid().z)),
+        # Zero spacing between the first two columns would key offsets
+        # in units of zero.
+        "coinciding-columns": (proxon_medium(), arr.element_positions,
+                               ImageGrid(np.array([0, 0, 1, 2]) * MM,
+                                         _grid().z)),
     }
     return [pytest.param(*case, id=name) for name, case in cases.items()]
 
 
 @pytest.mark.parametrize("medium, sources, grid", _fallbacks())
 def test_fallback_solves_every_map(calls, medium, sources, grid):
-    got = _shared_tof_maps(medium, sources, grid, workers=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _shared_tof_maps(medium, sources, grid, workers=2)
     gx, gz = np.meshgrid(grid.x, grid.z, indexing="ij")
     [(seen_sources, tx, tz, workers)] = calls
     assert seen_sources == list(sources)
