@@ -8,7 +8,7 @@ produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 scenario/schema error or invalid flag value,
 3 solver non-convergence, 4 physics error (total reflection, missed
-intersection, no bracket), 5 I/O error.
+intersection, no bracket, no transmitted path), 5 I/O error.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     NoBracketError,
     NoIntersectionError,
     NonConvergenceError,
+    NoTransmittedPathError,
     RoiError,
     ScenarioError,
     TotalReflectionError,
@@ -63,6 +64,7 @@ _EXIT_CODES = {
     NonConvergenceError: 3,
     TotalReflectionError: 4, NoIntersectionError: 4, NoBracketError: 4,
     DegenerateSegmentError: 4, DegenerateDenominatorError: 4,
+    NoTransmittedPathError: 4,
     RoiError: 2,
     OSError: 5,
 }
@@ -296,6 +298,8 @@ def cmd_beamform(args) -> int:
         sz = np.array([p.z for p, _ in scn.imaging.scatterers])
         tofs = batch.tof_maps(scn.medium, scn.array.element_positions, sx, sz,
                               scn.solver, workers=args.threads)
+        if not np.any(np.isfinite(tofs)):
+            raise NoTransmittedPathError("no element reaches any scatterer")
         cut = scn.pulse.support
         t0 = max(0.0, math.floor((2.0 * float(np.nanmin(tofs)) - 2 * cut) * fs) / fs)
         duration = 2.0 * float(np.nanmax(tofs)) + 2 * cut - t0 + 16 / fs

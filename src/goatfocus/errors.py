@@ -61,6 +61,10 @@ class NoBracketError(GoatFocusError):
         self.causes = dict(causes or {})
 
 
+class NoTransmittedPathError(GoatFocusError):
+    """Every (element, focus) or (element, scatterer) solve failed."""
+
+
 class DegenerateDenominatorError(GoatFocusError):
     """The slope-condition denominator vanished (the equivalence theorem's
     proviso); the expression is not evaluable at this configuration."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .batch import tof_batch
-from .errors import GoatFocusError
+from .errors import NoTransmittedPathError
 from .goatsolve import SolverOptions
 from .medium import Medium, Point2
 
@@ -109,12 +109,10 @@ def element_focus_tofs(array: ElementArray, foci, medium: Medium | None,
     """ToF matrix (element, focus) under the chosen engine; NaN on failure."""
     medium = engine_medium(engine, medium)
     foci = list(foci)
-    tofs = np.empty((len(array), len(foci)))
     fx = np.array([f.x for f in foci])
     fz = np.array([f.z for f in foci])
-    for m, e in enumerate(array.element_positions):
-        tofs[m, :] = tof_batch(medium, e, fx, fz, opts)
-    return tofs
+    return np.array([tof_batch(medium, e, fx, fz, opts)
+                     for e in array.element_positions])
 
 
 def build_delay_table(array: ElementArray, foci, medium: Medium | None,
@@ -135,24 +133,15 @@ def build_delay_table(array: ElementArray, foci, medium: Medium | None,
     failures = [(m, k, "no refracted path")
                 for m, k in zip(*np.nonzero(~np.isfinite(tofs)))]
     if len(failures) == tofs.size and tofs.size:
-        raise GoatFocusError("every (element, focus) solve failed")
-    delays = np.full_like(tofs, np.nan)
-    for k in range(len(foci)):
-        col = tofs[:, k]
-        good = np.isfinite(col)
-        if not np.any(good):
-            continue
-        if kind == "transmit":
-            delays[good, k] = np.max(col[good]) - col[good]
-        else:
-            if transmit_element is None:
-                t_tx = 0.0
-            else:
-                t_tx = col[transmit_element]
-                if not np.isfinite(t_tx):
-                    failures.append((transmit_element, k, "transmit tof failed"))
-                    continue
-            delays[good, k] = col[good] + t_tx
+        raise NoTransmittedPathError("every (element, focus) solve failed")
+    if kind == "transmit":
+        delays = np.fmax.reduce(tofs, axis=0) - tofs
+    else:
+        t_tx = 0.0 if transmit_element is None else tofs[transmit_element]
+        lost = ~np.isfinite(t_tx) & np.any(np.isfinite(tofs), axis=0)
+        failures += [(transmit_element, k, "transmit tof failed")
+                     for k in np.flatnonzero(lost)]
+        delays = tofs + t_tx
     return DelayTable(kind, engine, foci, delays,
                       tuple((int(m), int(k), why) for m, k, why in failures))
 

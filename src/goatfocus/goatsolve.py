@@ -32,7 +32,7 @@ from .errors import (
     NonConvergenceError,
     TotalReflectionError,
 )
-from .medium import _DOMAIN_SLACK, Constant, Linear, Medium, Point2
+from .medium import _DOMAIN_SLACK, Linear, Medium, Point2
 from .raytrace import MIN_SEGMENT, RayPath, propagate
 
 _SHOOTING_CANDIDATES = 64
@@ -191,9 +191,7 @@ def _chord_rows(medium: Medium, ends):
     lo, hi = medium.domain
     xs = np.empty((medium.num_layers - 1, ends.shape[1]))
     for i, curve in enumerate(medium.boundaries):
-        if isinstance(curve, Constant):
-            t = (curve.d - z0) / (zN - z0)
-        elif isinstance(curve, Linear):
+        if isinstance(curve, Linear):
             t = (curve.k * x0 + curve.d - z0) / ((zN - z0) - curve.k * (xN - x0))
         else:
             t = _chord_root(curve, x0, z0, xN - x0, zN - z0, lo, hi)
@@ -507,8 +505,8 @@ def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
 
 def solve(medium: Medium, p0: Point2, pN: Point2,
           opts: SolverOptions = SolverOptions()) -> GoatSolution:
-    """Hybrid driver: Newton from the straight-ray guess, shooting fallback,
-    Newton polish of the shooting crossings.
+    """Hybrid driver: Newton from the straight-ray guess, then, if that
+    fails and ``opts.bisection_fallback`` is set, :func:`solve_hybrid`.
 
     Focus points that lie above the last interface are handled by truncating
     the stack to the layers above the focus; a focus inside the first layer
@@ -530,8 +528,15 @@ def solve(medium: Medium, p0: Point2, pN: Point2,
             TotalReflectionError):
         if not opts.bisection_fallback:
             raise
+    return solve_hybrid(sub, p0, pN, opts)
+
+
+def solve_hybrid(medium: Medium, p0: Point2, pN: Point2,
+                 opts: SolverOptions = SolverOptions()) -> GoatSolution:
+    """:func:`solve`'s stage after a failed Newton, on the stack down to
+    pN's layer: shooting, then a Newton polish of its crossings."""
     try:
-        shot = solve_shooting(sub, p0, pN, opts)
+        shot = solve_shooting(medium, p0, pN, opts)
     except NoBracketError as exc:
         n_skipped = sum(exc.causes.values())
         if n_skipped and exc.causes.get("total_reflection", 0) == n_skipped:
@@ -540,7 +545,7 @@ def solve(medium: Medium, p0: Point2, pN: Point2,
                 "path reaches the focus", ratio=None) from exc
         raise
     try:
-        polished = solve_newton(sub, p0, pN, opts, x0=np.asarray(shot.xs))
+        polished = solve_newton(medium, p0, pN, opts, x0=np.asarray(shot.xs))
     except (NonConvergenceError, TotalReflectionError):
         return replace(shot, method="hybrid")
     return replace(polished, iterations=shot.iterations + polished.iterations,

@@ -54,6 +54,11 @@ class Pulse:
         return -((math.pi * bwf) ** 2) / (4.0 * math.log(ref))
 
     @property
+    def min_sample_rate(self) -> float:
+        """The rate (Hz) sampling must exceed: twice the upper band edge."""
+        return 2.0 * self.center_frequency * (1.0 + self.fractional_bandwidth)
+
+    @property
     def support(self) -> float:
         """Half-width outside which the envelope is below 1e-8 of peak."""
         return math.sqrt(math.log(1.0 / _PULSE_SUPPORT_FLOOR) / self._gauss_a)
@@ -133,7 +138,7 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
     channels do not depend on the number of workers.
     """
     scatterers = [(p, float(a)) for p, a in scatterers]
-    if sample_rate <= 2.0 * pulse.center_frequency * (1.0 + pulse.fractional_bandwidth):
+    if sample_rate <= pulse.min_sample_rate:
         raise ValueError("sample rate too low for the pulse bandwidth")
     M = len(array)
     nt = int(round(duration * sample_rate))

@@ -4,6 +4,7 @@ A medium is an ordered stack of constant-speed layers separated by once
 continuously differentiable boundary curves z = b(x) over a shared lateral
 interval.  Depth z increases downward; the transducer plane sits at z = 0
 above the first boundary.  All quantities are SI (meters, seconds, m/s).
+A horizontal boundary (:class:`Constant`) is :class:`Linear` at slope 0.
 """
 
 from __future__ import annotations
@@ -68,30 +69,6 @@ class BoundaryCurve:
 
 
 @dataclass(frozen=True)
-class Constant(BoundaryCurve):
-    """Horizontal boundary z = d."""
-
-    d: float
-    domain: tuple[float, float] = (0.0, 1.0)
-
-    def _eval(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.d) if np.ndim(x) else self.d
-
-    def _slope(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-
-    def _curvature(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-
-    def translated(self, dx):
-        lo, hi = self.domain
-        return Constant(self.d, (lo + dx, hi + dx))
-
-    def flipped(self, z_ref):
-        return Constant(z_ref - self.d, self.domain)
-
-
-@dataclass(frozen=True)
 class Linear(BoundaryCurve):
     """Straight boundary z = k*x + d."""
 
@@ -114,6 +91,20 @@ class Linear(BoundaryCurve):
 
     def flipped(self, z_ref):
         return Linear(-self.k, z_ref - self.d, self.domain)
+
+
+@dataclass(frozen=True)
+class Constant(Linear):
+    """Horizontal boundary z = d."""
+
+    k: float = field(default=0.0, init=False)
+
+    def translated(self, dx):
+        lo, hi = self.domain
+        return Constant(self.d, (lo + dx, hi + dx))
+
+    def flipped(self, z_ref):
+        return Constant(z_ref - self.d, self.domain)
 
 
 @dataclass(frozen=True)

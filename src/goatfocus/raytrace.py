@@ -22,7 +22,7 @@ from .errors import (
     NoIntersectionError,
     TotalReflectionError,
 )
-from .medium import Constant, Linear, Medium, Point2, boundary_eval, boundary_slope
+from .medium import Linear, Medium, Point2, boundary_eval, boundary_slope
 
 # Segments shorter than this are degenerate (m).
 MIN_SEGMENT = 1e-12
@@ -155,9 +155,7 @@ def intersect_next(state: RaySegmentState, medium: Medium,
     curve = medium.boundaries[bidx - 1]
     lo, hi = medium.domain
 
-    if isinstance(curve, Constant):
-        t = _intersect_line(ox, oz, dx, dz, 0.0, curve.d)
-    elif isinstance(curve, Linear):
+    if isinstance(curve, Linear):
         t = _intersect_line(ox, oz, dx, dz, curve.k, curve.d)
     else:
         t = _march_curved(curve, ox, oz, dx, dz, lo, hi, medium.min_gap() / 8.0)

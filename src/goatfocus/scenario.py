@@ -243,8 +243,11 @@ def loads(text: str | bytes) -> Scenario:
                 raise ScenarioError(f"imaging.scatterers[{i}]: expected [x, z, amp]")
             scatterers.append((_point(s[:2], scale, "scatterer"),
                                _number(s[2], "scatterer")))
-        imaging = ImagingSpec(grid, _number(spec["sample_rate_hz"], "imaging"),
-                              tuple(scatterers))
+        fs = _number(spec["sample_rate_hz"], "imaging.sample_rate_hz")
+        floor = 0.0 if pulse is None else pulse.min_sample_rate
+        if not fs > floor:
+            raise ScenarioError(f"imaging.sample_rate_hz: {fs!r} Hz is not above {floor!r} Hz")
+        imaging = ImagingSpec(grid, fs, tuple(scatterers))
 
     solver = SolverOptions()
     if "solver" in doc:

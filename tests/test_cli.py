@@ -23,6 +23,7 @@ from goatfocus.errors import (
     NoBracketError,
     NoIntersectionError,
     NonConvergenceError,
+    NoTransmittedPathError,
     RoiError,
     ScenarioError,
     TotalReflectionError,
@@ -56,6 +57,24 @@ def _imaging(**grid):
 def _medium(**fields):
     """MINIMAL's medium block with fields replaced."""
     return dict(MINIMAL["medium"], **fields)
+
+
+def _unreachable(tmp_path):
+    """The total_reflection fixture under a 4-element array at x = 30 mm,
+    with one focus and one scatterer at (400, 31) mm that no element
+    reaches, written to a file."""
+    doc = json.loads(
+        (files("goatfocus") / "fixtures" / "total_reflection.json").read_text())
+    doc.update(array={"num_elements": 4, "pitch": 1.0, "center_x": 30.0},
+               foci=[[400.0, 31.0]],
+               pulse={"center_frequency_hz": 5e6},
+               imaging={"grid": {"x": [29.0, 31.0], "z": [31.0, 35.0],
+                                 "spacing": 0.2},
+                        "sample_rate_hz": 4e7,
+                        "scatterers": [[400.0, 31.0, 1.0]]})
+    path = tmp_path / "unreachable.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestScenarioSchema:
@@ -247,6 +266,7 @@ class TestCmdSolve:
         (NoBracketError("flat"), 4, {}),
         (DegenerateSegmentError("short"), 4, {}),
         (DegenerateDenominatorError("zero"), 4, {}),
+        (NoTransmittedPathError("none"), 4, {}),
         (RoiError("roi"), 2, {}),
         (FileNotFoundError(2, "gone"), 5, {}),
     ])
@@ -304,6 +324,17 @@ class TestCmdDelays:
                            "--engine", "goat", "--tx", tx, "--out", str(out))
         assert code == 2
         assert json.loads(err)["error"] == "ScenarioError"
+        assert not out.exists()
+
+    def test_every_solve_failed_exit_4(self, capsys, tmp_path):
+        out = tmp_path / "d.csv"
+        code, stdout, err = run(capsys, "delays", "--scenario",
+                                _unreachable(tmp_path), "--engine", "goat",
+                                "--out", str(out))
+        assert (code, stdout) == (4, "")
+        assert err == json.dumps({"error": "NoTransmittedPathError",
+                                  "message": "every (element, focus) solve "
+                                             "failed"}, sort_keys=True) + "\n"
         assert not out.exists()
 
     def test_provenance_header(self, capsys, tmp_path):
@@ -539,11 +570,20 @@ class TestNonFiniteInput:
         pytest.param("solver", {"bisection_fallback": "no"},
                      "solver.bisection_fallback: expected true or false, "
                      "got 'no'", id="string-fallback"),
+        pytest.param("imaging", dict(_imaging(), sample_rate_hz=-4e7),
+                     "imaging.sample_rate_hz: -40000000.0 Hz is not above "
+                     "0.0 Hz", id="negative-sample-rate"),
+        # A field of None replaces several top-level blocks at once.
+        pytest.param(None, {"pulse": {"center_frequency_hz": 5e6},
+                            "imaging": dict(_imaging(), sample_rate_hz=1e6)},
+                     "imaging.sample_rate_hz: 1000000.0 Hz is not above "
+                     "16000000.0 Hz", id="sample-rate-below-pulse-band"),
     ])
     def test_scenario_document_exit_2(self, capsys, tmp_path, field, value,
                                       message):
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(dict(MINIMAL, **{field: value})))
+        blocks = value if field is None else {field: value}
+        path.write_text(json.dumps(dict(MINIMAL, **blocks)))
         code, out, err = run(capsys, "solve", "--scenario", str(path))
         assert (code, out) == (2, "")
         assert err == json.dumps({"error": "ScenarioError",
@@ -580,6 +620,17 @@ class TestCmdBeamform:
         # hmfa's ToF table is one call more; the scatterers are solved once.
         n_scatterers = len(load("homogeneous").imaging.scatterers)
         assert shapes.count((n_scatterers,)) == 1
+
+    def test_no_reachable_scatterer_exit_4(self, capsys, tmp_path):
+        prefix = tmp_path / "bf"
+        code, out, err = run(capsys, "beamform", "--scenario",
+                             _unreachable(tmp_path), "--engine", "goat",
+                             "--out", str(prefix))
+        assert (code, out) == (4, "")
+        assert err == json.dumps({"error": "NoTransmittedPathError",
+                                  "message": "no element reaches any "
+                                             "scatterer"}, sort_keys=True) + "\n"
+        assert list(tmp_path.glob("bf*")) == []
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         prefix = str(tmp_path / "bf")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from goatfocus import focusing
+from goatfocus.errors import NoTransmittedPathError
 from goatfocus.focusing import (
     HMFA_REFERENCE_SPEED,
     ElementArray,
@@ -18,7 +19,13 @@ from goatfocus.imaging import ChannelDataSet, ImageGrid, das_beamform
 from goatfocus.medium import Point2
 from goatfocus.scenario import load
 
-from cases import MM, homogeneous_medium, proxon_medium, setting1_medium
+from cases import (
+    MM,
+    homogeneous_medium,
+    proxon_medium,
+    setting1_medium,
+    total_reflection_medium,
+)
 
 US = 1e-6
 
@@ -179,6 +186,76 @@ class TestBuildDelayTable:
         table = build_delay_table(arr, [], med, "goat", "transmit")
         assert table.delays.shape == (8, 0)
         assert table.failures == ()
+
+
+def reference_table(tofs, kind, transmit_element):
+    """Delays and failures of a per-focus loop over the ToF matrix."""
+    failures = [(int(m), int(k), "no refracted path")
+                for m, k in zip(*np.nonzero(~np.isfinite(tofs)))]
+    delays = np.full_like(tofs, np.nan)
+    for k in range(tofs.shape[1]):
+        col = tofs[:, k]
+        good = np.isfinite(col)
+        if not np.any(good):
+            continue
+        if kind == "transmit":
+            delays[good, k] = np.max(col[good]) - col[good]
+            continue
+        t_tx = 0.0 if transmit_element is None else col[transmit_element]
+        if not np.isfinite(t_tx):
+            failures.append((transmit_element, k, "transmit tof failed"))
+            continue
+        delays[good, k] = col[good] + t_tx
+    return delays, tuple(failures)
+
+
+KINDS = [("transmit", None), ("receive", None), ("receive", 0),
+         ("receive", 2)]
+
+
+class TestDelayTableFailures:
+    # Columns: all finite, partly NaN, all NaN, the transmit element's ToF
+    # NaN (element 2), and elements 0 and 2 NaN.
+    TOFS = np.array([[20.0, 21.0, np.nan, 22.0, np.nan],
+                     [21.0, np.nan, np.nan, 23.5, 24.0],
+                     [22.5, 20.0, np.nan, np.nan, np.nan],
+                     [23.0, 22.0, np.nan, 21.0, 25.0]]) * US
+
+    @pytest.mark.parametrize("kind, tx", KINDS)
+    def test_matches_per_focus_loop(self, monkeypatch, kind, tx):
+        monkeypatch.setattr(focusing, "element_focus_tofs",
+                            lambda *args: self.TOFS.copy())
+        foci = [Point2(float(k) * MM, 30 * MM) for k in range(5)]
+        table = build_delay_table(linear_array(4, MM), foci, proxon_medium(),
+                                  "goat", kind, transmit_element=tx)
+        delays, failures = reference_table(self.TOFS, kind, tx)
+        assert table.delays.tobytes() == delays.tobytes()
+        assert table.failures == failures
+        lost = [k for m, k, why in failures if why == "transmit tof failed"]
+        assert lost == {0: [4], 2: [3, 4]}.get(tx, [])
+
+    @pytest.mark.parametrize("kind, tx", KINDS)
+    def test_partly_reachable_medium_matches_per_focus_loop(self, kind, tx):
+        # Near the critical angle the elements far from a focus lose it
+        # first: a column reached by every element, three partly reached
+        # ones (elements 3; 2 and 3; 1 to 3) and one reached by none.
+        med = total_reflection_medium()
+        arr = linear_array(4, MM, 30 * MM)
+        foci = [Point2(x * MM, 33 * MM) for x in (40, 54, 54.5, 55, 58)]
+        tofs = element_focus_tofs(arr, foci, med, "goat")
+        assert np.array_equal(np.isnan(tofs).sum(axis=0), [0, 1, 2, 3, 4])
+        table = build_delay_table(arr, foci, med, "goat", kind,
+                                  transmit_element=tx)
+        delays, failures = reference_table(tofs, kind, tx)
+        assert table.delays.tobytes() == delays.tobytes()
+        assert table.failures == failures
+
+    def test_no_reachable_focus_raises(self):
+        arr = linear_array(4, MM, 30 * MM)
+        with pytest.raises(NoTransmittedPathError,
+                           match="every \\(element, focus\\) solve failed"):
+            build_delay_table(arr, [Point2(400 * MM, 31 * MM)],
+                              total_reflection_medium(), "goat", "transmit")
 
 
 class TestDelayCsv:

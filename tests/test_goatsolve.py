@@ -16,6 +16,7 @@ from goatfocus.medium import Constant, Medium, Point2
 from goatfocus.goatsolve import (
     GoatSolution,
     SolverOptions,
+    _chord_rows,
     hmfa_tof,
     initial_guess_straight,
     residual_jacobian,
@@ -412,6 +413,33 @@ class TestInvariances:
                 scaled = solve(med.scaled_speeds(lam), p0, pN)
                 assert scaled.tof == pytest.approx(base.tof / lam, rel=1e-12)
                 assert max(abs(a - b) for a, b in zip(scaled.xs, base.xs)) <= 1e-12
+
+
+class TestFlatChords:
+    def test_match_the_flat_formula_bit_for_bit(self, rng):
+        # Constant is Linear at slope 0; its chords must still be
+        # t = (d - z0) / (zN - z0), with negative x, horizontal chords
+        # (zN = z0, also on an interface) and vertical ones.
+        dom = (-60 * MM, 40 * MM)
+        med = Medium((1480.0, 1540.0, 1600.0),
+                     (Constant(10 * MM, dom), Constant(25 * MM, dom)), dom)
+        n = 400
+        x0, xN = rng.uniform(-60 * MM, 40 * MM, n), rng.uniform(-80 * MM, 60 * MM, n)
+        z0, zN = rng.uniform(0.0, 5 * MM, n), rng.uniform(0.0, 40 * MM, n)
+        zN[::7] = z0[::7]
+        z0[::13] = zN[::13] = 10 * MM
+        xN[::11] = x0[::11]
+        got = _chord_rows(med, np.array([x0, z0, xN, zN]))
+        lo, hi = dom
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i, b in enumerate(med.boundaries):
+                t = (b.d - z0) / (zN - z0)
+                x = x0 + t * (xN - x0)
+                want = np.where((0.0 < t) & (t < 1.0) & (lo - 1e-12 <= x)
+                                & (x <= hi + 1e-12), x, np.nan)
+                assert got[i].tobytes() == want.tobytes()
+        assert np.nanmin(got) < 0.0 and np.isnan(got).any()
+        assert np.isnan(got[:, zN == z0]).all()
 
 
 class TestTofOfPath:

@@ -54,6 +54,25 @@ class TestBoundaryEval:
             boundary_eval(Constant(30 * MM, (0, 60 * MM)), 61 * MM)
 
 
+class TestConstantIsLinear:
+    def test_slope_zero_subclass_with_its_own_transforms(self):
+        dom = (-5 * MM, 40 * MM)
+        c = Constant(30 * MM, dom)
+        assert isinstance(c, Linear) and (c.k, c.d, c.domain) == (0.0, 30 * MM, dom)
+        assert not {"_eval", "_slope", "_curvature"} & set(vars(Constant))
+        assert c.translated(2 * MM) == Constant(30 * MM, (dom[0] + 2 * MM,
+                                                          dom[1] + 2 * MM))
+        assert c.flipped(50 * MM) == Constant(50 * MM - 30 * MM, dom)
+
+    def test_evaluates_as_the_flat_formula(self, rng):
+        c = Constant(30 * MM, (-40 * MM, 40 * MM))
+        x = np.concatenate((rng.uniform(-40 * MM, 40 * MM, 200), [0.0, -0.0]))
+        assert c._eval(x).tobytes() == np.full_like(x, 30 * MM).tobytes()
+        assert c._slope(x).tobytes() == np.zeros_like(x).tobytes()
+        assert c._curvature(x).tobytes() == np.zeros_like(x).tobytes()
+        assert c._eval(-3 * MM) == 30 * MM and c._slope(-3 * MM) == 0.0
+
+
 class TestBoundarySlope:
     def test_ellipse_apex_is_flat(self):
         curve = Ellipse(70 * MM, 50 * MM, Point2(0.0, 0.0), +1, (-60 * MM, 60 * MM))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from goatfocus import batch
+from goatfocus import batch, goatsolve
 from goatfocus.analysis import fermat_oracle
 from goatfocus.batch import tof_batch, tof_maps
 from goatfocus.errors import GoatFocusError
@@ -62,6 +62,42 @@ def assert_batch_equals_scalar(medium, src, tx, tz):
             assert np.isnan(got[i])
             continue
         assert abs(got[i] - ref) <= 1e-15 * ref
+
+
+def test_failed_rows_enter_shooting_once(monkeypatch):
+    # Oscillating targets 40-60 mm deep, four of which the row Newton
+    # rejects. Each goes to shooting on the stack it was solved in: no
+    # second chord and no second row Newton (a solve_newton call without
+    # x0; the polish of a shooting root passes one).
+    rng = np.random.default_rng(0)
+    med = oscillating_medium()
+    lo, hi = med.domain
+    src = Point2(rng.uniform(lo, hi), 0.0)
+    tx, tz = rng.uniform(lo, hi, 60), rng.uniform(40 * MM, 60 * MM, 60)
+    ends = np.column_stack((np.full((tx.size, 2), (src.x, src.z)), tx, tz))
+    failed = int(np.sum(~tof_rows(med, ends)[1]))
+    assert failed == 4
+    calls = {"chord": 0, "shoot": 0, "newton x0": []}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if name == "newton x0":
+                calls[name].append(kwargs.get("x0"))
+            else:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, attr in (("chord", "_chord_rows"), ("shoot", "solve_shooting"),
+                       ("newton x0", "solve_newton")):
+        monkeypatch.setattr(goatsolve, attr,
+                            counting(name, getattr(goatsolve, attr)))
+    got = tof_batch(med, src, tx, tz)
+    assert calls["chord"] == 1 and calls["shoot"] == failed
+    assert calls["newton x0"] and all(x0 is not None for x0 in calls["newton x0"])
+    monkeypatch.undo()
+    assert np.sum(np.isfinite(got)) == tx.size - 3  # shooting recovers one
+    assert_batch_equals_scalar(med, src, tx, tz)
 
 
 @SETTINGS

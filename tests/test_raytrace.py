@@ -117,6 +117,30 @@ class TestNextDirection:
 
 
 class TestIntersectNext:
+    def test_flat_crossings_match_the_flat_formula(self, rng):
+        # Constant is Linear at slope 0; its crossing must still be at
+        # t = (d - oz) / dz, for rays from negative x and horizontal rays.
+        dom = (-40 * MM, 40 * MM)
+        d = 30 * MM
+        med = Medium((1500.0, 1600.0), (Constant(d, dom),), dom)
+        hits = 0
+        for k in range(300):
+            o = Point2(rng.uniform(-40 * MM, 40 * MM), rng.uniform(0.0, 29 * MM))
+            a = rng.uniform(-math.pi, math.pi)
+            state = RaySegmentState(o, (math.sin(a), math.cos(a)) if k % 10
+                                    else ((-1.0) ** (k // 10), 0.0), 1)
+            dx, dz = state.direction
+            t = (d - o.z) / dz if abs(dz) >= 1e-300 else -1.0
+            x = o.x + t * dx
+            if t > 0.0 and -40 * MM - 1e-12 <= x <= 40 * MM + 1e-12:
+                p = intersect_next(state, med)
+                assert (p.x, p.z) == (x, o.z + t * dz)
+                hits += 1
+            else:
+                with pytest.raises(NoIntersectionError):
+                    intersect_next(state, med)
+        assert 50 < hits < 250
+
     def test_vertical_onto_flat(self):
         med = Medium((1500.0, 1500.0), (Constant(30 * MM, (-40 * MM, 40 * MM)),),
                      (-40 * MM, 40 * MM))
