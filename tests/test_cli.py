@@ -266,9 +266,9 @@ class TestCmdSolve:
         (NoBracketError("flat"), 4, {}),
         (DegenerateSegmentError("short"), 4, {}),
         (DegenerateDenominatorError("zero"), 4, {}),
-        (NoTransmittedPathError("none"), 4, {}),
         (RoiError("roi"), 2, {}),
         (FileNotFoundError(2, "gone"), 5, {}),
+        (NoTransmittedPathError("none"), 4, {}),
     ])
     def test_error_exit_codes(self, capsys, monkeypatch, exc, code, extra):
         def fail(args):
