@@ -8,7 +8,8 @@ produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 scenario/schema error or invalid flag value,
 3 solver non-convergence, 4 physics error (total reflection, missed
-intersection, no bracket, no transmitted path), 5 I/O error.
+intersection, no bracket, no transmitted path), 5 I/O error (including an
+unreadable channel file or one that does not match the scenario).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .analysis import (
     uniqueness_scan,
 )
 from .errors import (
+    ChannelFileError,
     DegenerateDenominatorError,
     DegenerateSegmentError,
     GoatFocusError,
@@ -66,7 +68,7 @@ _EXIT_CODES = {
     DegenerateSegmentError: 4, DegenerateDenominatorError: 4,
     NoTransmittedPathError: 4,
     RoiError: 2,
-    OSError: 5,
+    OSError: 5, ChannelFileError: 5,
 }
 
 
@@ -292,8 +294,19 @@ def cmd_beamform(args) -> int:
         raise ScenarioError("beamforming needs array, pulse and imaging blocks")
     prefix = args.out
     ch_path = f"{prefix}_channels.goatcd"
-    if not os.path.exists(ch_path):
-        fs = scn.imaging.sample_rate
+    M, fs = len(scn.array), scn.imaging.sample_rate
+    if os.path.exists(ch_path):
+        channels = read_channels(ch_path)
+        n_tx, n_rx, _ = channels.samples.shape
+        if (n_tx, n_rx) != (M, M):
+            raise ChannelFileError(
+                f"{ch_path}: cached channels are {n_tx} transmits x {n_rx} "
+                f"receivers, the scenario's array has {M} elements")
+        if channels.sample_rate != fs:
+            raise ChannelFileError(
+                f"{ch_path}: cached sample rate {channels.sample_rate!r} Hz, "
+                f"the scenario's is {fs!r} Hz")
+    else:
         sx = np.array([p.x for p, _ in scn.imaging.scatterers])
         sz = np.array([p.z for p, _ in scn.imaging.scatterers])
         tofs = batch.tof_maps(scn.medium, scn.array.element_positions, sx, sz,
@@ -307,11 +320,9 @@ def cmd_beamform(args) -> int:
                                        scn.imaging.scatterers, scn.pulse, fs,
                                        duration, t0, scn.solver, tofs=tofs,
                                        workers=args.threads)
+        # The float32 samples are the values the file stores, so a cold
+        # run and a run from its cache make byte-identical artifacts.
         write_channels(channels, ch_path, provenance=scn.provenance)
-        del channels  # the float64 set is not needed once it is on disk
-    # Always beamform from the cached float32 data so that cached and fresh
-    # runs produce byte-identical artifacts.
-    channels = read_channels(ch_path)
     img = das_beamform(channels, scn.medium, scn.array, scn.imaging.grid,
                        args.engine, opts=scn.solver, workers=args.threads)
     image_path = f"{prefix}_{args.engine}.pgm"

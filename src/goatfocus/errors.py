@@ -76,3 +76,7 @@ class RoiError(GoatFocusError):
 
 class ScenarioError(GoatFocusError):
     """A scenario document failed schema validation."""
+
+
+class ChannelFileError(GoatFocusError):
+    """A channel data file is unreadable or does not match its scenario."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ import numpy as np
 from numpy import fft
 
 from .batch import tof_maps
-from .errors import RoiError
+from .errors import ChannelFileError, RoiError
 from .focusing import ElementArray, engine_medium
 from .goatsolve import SolverOptions
 from .medium import Constant, Medium, Point2
@@ -27,8 +28,9 @@ from .medium import Constant, Medium, Point2
 DB_FLOOR = -60.0
 MIN_ENVELOPE_SAMPLES = 16  # shortest trace :func:`envelope` accepts
 _PULSE_SUPPORT_FLOOR = 1e-8  # envelope fraction treated as zero
-# Transmits per indexed add in synthesis; bounds its temporaries.
-_SYNTH_TX_ROWS = 8
+# Transmits per synthesis block; sizes each worker's float64 block buffer
+# and the block's indexed-add temporaries.
+_SYNTH_TX_ROWS = 2
 # Lateral offsets (pixel - element) within this fraction of the pixel
 # spacing share a column of the flat-medium ToF table.
 _OFFSET_TOL = 1e-9
@@ -73,9 +75,9 @@ class Pulse:
 class ChannelDataSet:
     """Full-synthetic-aperture traces: samples[tx, rx, time].
 
-    Synthesis makes float64 samples; :func:`read_channels` returns the
-    stored float32 ones, which :func:`_das_sum` upcasts exactly, one trace
-    at a time.
+    Synthesis and :func:`read_channels` both make float32 samples, the
+    values the file stores, which :func:`_das_sum` upcasts exactly, one
+    trace at a time.
     """
 
     samples: np.ndarray
@@ -133,9 +135,11 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
     ``tofs`` takes the (element, scatterer) ToF map when the caller already
     has it.  Failed (element, scatterer) solves contribute nothing and are
     recorded in ``omitted``.  Transmits are synthesized in blocks of
-    ``_SYNTH_TX_ROWS``, which write disjoint traces and run on a pool of
-    ``workers`` threads; each sample sums the scatterers in order, so the
-    channels do not depend on the number of workers.
+    ``_SYNTH_TX_ROWS``, dealt to a pool of ``workers`` threads.  Each worker
+    sums its blocks, one at a time, in one reused float64 buffer, then
+    stores the block as float32 in the returned set.  Each sample sums the
+    scatterers in order, in float64 from 0.0, so the samples are the
+    float64 sums rounded once to float32, whatever the number of workers.
     """
     scatterers = [(p, float(a)) for p, a in scatterers]
     if sample_rate <= pulse.min_sample_rate:
@@ -157,32 +161,38 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
             raise ValueError(
                 f"duration {duration:.3e} s does not cover the round trip "
                 f"plus pulse support ({t_max - t0:.3e} s)")
-    samples = np.zeros((M, M, nt))
-    flat = samples.reshape(-1)  # a view: (tx, rx, time) flattened
+    samples = np.empty((M, M, nt), dtype=np.float32)
     win = int(math.ceil(cut * sample_rate))
     steps = np.arange(-win, win + 1)
     live = [np.flatnonzero(finite[:, k]) for k in range(len(scatterers))]
+    starts = range(0, M, _SYNTH_TX_ROWS)
+    pool_size = max(1, min(workers, len(starts)))
+    bufs = np.empty((pool_size, _SYNTH_TX_ROWS, M, nt))
 
-    def run(start):
+    def run(w):
         # The (tx, rx) windows of a block of transmits, one scatterer at a
         # time: trace i, j covers samples ceil(c) - win ... floor(c) + win
         # of c = (tau - t0) * fs, clipped to the trace.  Windows of one
         # scatterer never share a sample, so one indexed add sums it.
-        for k, (_, amp) in enumerate(scatterers):
-            rx = live[k]
-            tx = rx[(start <= rx) & (rx < start + _SYNTH_TX_ROWS)]
-            tau = (tofs[tx, k][:, None] + tofs[rx, k][None, :])[..., None]
-            center = (tau - t0) * sample_rate
-            n = np.ceil(center).astype(np.int64) + steps
-            keep = (n >= 0) & (n < nt) & (
-                n <= np.floor(center).astype(np.int64) + win)
-            trace = (tx[:, None] * M + rx[None, :])[..., None] * nt
-            tt = (t0 + n / sample_rate - tau)[keep]
-            flat[(trace + n)[keep]] += amp * pulse(tt)
+        flat = bufs[w].reshape(-1)  # a view: (tx - start, rx, time)
+        for start in starts[w::pool_size]:
+            rows = min(_SYNTH_TX_ROWS, M - start)
+            bufs[w, :rows] = 0.0
+            for k, (_, amp) in enumerate(scatterers):
+                rx = live[k]
+                tx = rx[(start <= rx) & (rx < start + rows)]
+                tau = (tofs[tx, k][:, None] + tofs[rx, k][None, :])[..., None]
+                center = (tau - t0) * sample_rate
+                n = np.ceil(center).astype(np.int64) + steps
+                keep = (n >= 0) & (n < nt) & (
+                    n <= np.floor(center).astype(np.int64) + win)
+                trace = ((tx - start)[:, None] * M + rx[None, :])[..., None] * nt
+                tt = (t0 + n / sample_rate - tau)[keep]
+                flat[(trace + n)[keep]] += amp * pulse(tt)
+            samples[start:start + rows] = bufs[w, :rows]
 
-    starts = range(0, M, _SYNTH_TX_ROWS)
-    with ThreadPoolExecutor(max(1, min(workers, len(starts)))) as pool:
-        list(pool.map(run, starts))
+    with ThreadPoolExecutor(pool_size) as pool:
+        list(pool.map(run, range(pool_size)))
     return ChannelDataSet(samples, sample_rate, t0, tuple(omitted))
 
 
@@ -447,16 +457,37 @@ def write_channels(channels: ChannelDataSet, path, provenance: str = ""):
 
 def read_channels(path) -> ChannelDataSet:
     """The channel set of :func:`write_channels`' format, its samples the
-    stored float32 values with no conversion (four bytes per sample)."""
+    stored float32 values with no conversion (four bytes per sample).
+
+    Raises :class:`ChannelFileError` for a bad magic, an unreadable header,
+    a dtype other than ``<f4`` or a sample count the header does not give.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHANNEL_MAGIC))
         if magic != CHANNEL_MAGIC:
-            raise ValueError(f"not a channel data file: bad magic {magic!r}")
-        header = json.loads(fh.readline().decode())
+            raise ChannelFileError(
+                f"{path}: not a channel data file (bad magic {magic!r})")
+        try:
+            header = json.loads(fh.readline())
+            shape = tuple(header[k] for k in ("n_tx", "n_rx", "n_samples"))
+            rate, t0, dtype = (header[k] for k in
+                               ("sample_rate_hz", "t0_s", "dtype"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ChannelFileError(
+                f"{path}: unreadable header ({exc!r})") from None
+        if not all(type(v) is int and v >= 0 for v in shape) or not all(
+                type(v) in (int, float) for v in (rate, t0)):
+            raise ChannelFileError(f"{path}: unreadable header (sizes "
+                                   f"{shape}, rate {rate!r}, t0 {t0!r})")
+        if dtype != "<f4":
+            raise ChannelFileError(f"{path}: dtype {dtype!r}, expected '<f4'")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 4 * math.prod(shape):
+            raise ChannelFileError(
+                f"{path}: {size} bytes of samples, the header gives "
+                f"{shape[0]} x {shape[1]} x {shape[2]} float32 samples")
         raw = np.fromfile(fh, dtype="<f4")
-    shape = (header["n_tx"], header["n_rx"], header["n_samples"])
-    return ChannelDataSet(raw.reshape(shape), header["sample_rate_hz"],
-                          header["t0_s"])
+    return ChannelDataSet(raw.reshape(shape), rate, t0)
 
 
 def quantize_db_image(image: Image) -> np.ndarray:

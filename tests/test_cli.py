@@ -18,6 +18,7 @@ import goatfocus
 from goatfocus import cli
 from goatfocus.cli import main
 from goatfocus.errors import (
+    ChannelFileError,
     DegenerateDenominatorError,
     DegenerateSegmentError,
     NoBracketError,
@@ -28,6 +29,7 @@ from goatfocus.errors import (
     ScenarioError,
     TotalReflectionError,
 )
+from goatfocus.imaging import ChannelDataSet, write_channels
 from goatfocus.scenario import fixture_names, load, loads
 
 
@@ -269,6 +271,7 @@ class TestCmdSolve:
         (RoiError("roi"), 2, {}),
         (FileNotFoundError(2, "gone"), 5, {}),
         (NoTransmittedPathError("none"), 4, {}),
+        (ChannelFileError("bad cache"), 5, {}),
     ])
     def test_error_exit_codes(self, capsys, monkeypatch, exc, code, extra):
         def fail(args):
@@ -590,7 +593,67 @@ class TestNonFiniteInput:
                                   "message": message}, sort_keys=True) + "\n"
 
 
+@pytest.fixture(scope="class")
+def cold_homogeneous(tmp_path_factory):
+    """The directory of a cold goat beamform of the homogeneous fixture
+    (32 elements), prefix ``bf``."""
+    path = tmp_path_factory.mktemp("cold")
+    assert main(["beamform", "--scenario", "homogeneous", "--engine", "goat",
+                 "--out", str(path / "bf")]) == 0
+    return path
+
+
+def _bad_cache(kind, cold, path):
+    """Write a bad channel cache at ``path``; returns the scenario that
+    reuses it and the end of the error message."""
+    cache = (cold / "bf_channels.goatcd").read_bytes()
+    if kind == "elements":
+        path.write_bytes(cache)
+        return "proxon", ("cached channels are 32 transmits x 32 receivers, "
+                          "the scenario's array has 64 elements")
+    if kind == "sample_rate":
+        write_channels(ChannelDataSet(np.zeros((32, 32, 16)), 5e7), path)
+        return "homogeneous", ("cached sample rate 50000000.0 Hz, the "
+                               "scenario's is 100000000.0 Hz")
+    if kind == "truncated":
+        path.write_bytes(cache[:-1000])
+        return "homogeneous", "the header gives 32 x 32 x"
+    path.write_bytes(b"P5\n# not channels\n")
+    return "homogeneous", "not a channel data file (bad magic b'P5\\n# not')"
+
+
 class TestCmdBeamform:
+    def test_cached_run_matches_cold_run(self, capsys, tmp_path,
+                                         cold_homogeneous):
+        # A cold run images from the float32 samples it wrote; a run from
+        # that cache reads them back and must write the same artifacts.
+        (tmp_path / "bf_channels.goatcd").write_bytes(
+            (cold_homogeneous / "bf_channels.goatcd").read_bytes())
+        code, _, _ = run(capsys, "beamform", "--scenario", "homogeneous",
+                         "--engine", "goat", "--out", str(tmp_path / "bf"))
+        assert code == 0
+        names = sorted(p.name for p in tmp_path.glob("bf_goat*"))
+        assert names == sorted(p.name for p in
+                               cold_homogeneous.glob("bf_goat*"))
+        assert {"bf_goat.pgm", "bf_goat.json", "bf_goat_roi00.csv"} <= set(names)
+        for name in names:
+            assert ((tmp_path / name).read_bytes()
+                    == (cold_homogeneous / name).read_bytes()), name
+
+    @pytest.mark.parametrize("kind", ["elements", "sample_rate", "truncated",
+                                      "magic"])
+    def test_bad_cache_exit_5(self, capsys, tmp_path, cold_homogeneous, kind):
+        path = tmp_path / "bf_channels.goatcd"
+        scenario, tail = _bad_cache(kind, cold_homogeneous, path)
+        code, out, err = run(capsys, "beamform", "--scenario", scenario,
+                             "--engine", "goat", "--out", str(tmp_path / "bf"))
+        assert (code, out) == (5, "")
+        report = json.loads(err)
+        assert report["error"] == "ChannelFileError"
+        assert report["message"].startswith(f"{path}: ")
+        assert tail in report["message"]
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_homogeneous_engines_byte_identical(self, capsys, tmp_path):
         prefix = str(tmp_path / "bf")
         for engine in ("goat", "hmfa"):

@@ -2,12 +2,14 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from goatfocus import imaging
-from goatfocus.errors import RoiError
+from goatfocus.batch import tof_maps
+from goatfocus.errors import ChannelFileError, RoiError
 from goatfocus.focusing import linear_array
 from goatfocus.goatsolve import SolverOptions
 from goatfocus.imaging import (
@@ -184,8 +186,11 @@ class TestSynthesizeChannels:
         assert np.nanmax(np.ptp(center[:, 1:], axis=1)) < 2 * win
         arr = linear_array(M, 1.0 * MM)
         scat = [(Point2(0.0, (k + 1) * MM), a) for k, a in enumerate(amps)]
-        want = masked_synthesis(tofs, amps, PULSE, FS, nt, t0)
-        # One block of transmits, then blocks of 4 on three workers.
+        # The float64 sums, rounded once to the float32 the set holds.
+        want = masked_synthesis(tofs, amps, PULSE, FS, nt, t0).astype(
+            np.float32)
+        # Default blocks, one worker reusing its buffer for each, then
+        # blocks of 4 (the second one short) on three workers.
         for workers, tx_rows in ((1, imaging._SYNTH_TX_ROWS), (3, 4)):
             monkeypatch.setattr(imaging, "_SYNTH_TX_ROWS", tx_rows)
             ch = synthesize_channels(homogeneous_medium(), arr, scat, PULSE,
@@ -214,6 +219,33 @@ class TestSynthesizeChannels:
                 assert np.array_equal(ch.samples, ref.samples)
         finally:
             sys.setswitchinterval(switch)
+
+    def test_memory_bounded_on_proxon(self):
+        # The whole float64 cube alone was twice the float32 output here.
+        scn = load("proxon")
+        fs, cut = scn.imaging.sample_rate, scn.pulse.support
+        sx = np.array([p.x for p, _ in scn.imaging.scatterers])
+        sz = np.array([p.z for p, _ in scn.imaging.scatterers])
+        tofs = tof_maps(scn.medium, scn.array.element_positions, sx, sz)
+        t0 = math.floor((2.0 * np.min(tofs) - 2 * cut) * fs) / fs
+        duration = 2.0 * np.max(tofs) + 2 * cut - t0 + 16 / fs
+        M, nt = len(scn.array), int(round(duration * fs))
+        assert (M, nt) == (64, 4563)
+        tracemalloc.start()
+        try:
+            ch = synthesize_channels(scn.medium, scn.array,
+                                     scn.imaging.scatterers, scn.pulse, fs,
+                                     duration, t0, tofs=tofs, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = M * M * nt * 4  # 74.8 MB
+        buffers = 2 * imaging._SYNTH_TX_ROWS * M * nt * 8  # 9.3 MB
+        # Each worker's per-scatterer index and pulse temporaries, about
+        # 1.5 MB at 2 transmits x 64 receivers x 153 window samples.
+        slack = 4e6
+        assert peak < out + buffers + slack
+        assert ch.samples.dtype == np.float32
 
     def test_duration_must_cover_round_trip(self):
         med, arr, scat = small_homog_setup()
@@ -493,6 +525,25 @@ class TestFileFormats:
         assert back.samples.dtype == np.float32
         assert np.array_equal(back.samples, samples.astype(np.float32))
         assert (back.sample_rate, back.t0) == (FS, 2e-6)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda raw: b"GOATCD2\n" + raw[8:], "bad magic"),
+        (lambda raw: raw[:8] + b"{not json\n" + raw[raw.index(b"\n", 8):],
+         "unreadable header"),
+        (lambda raw: raw.replace(b'"n_tx": 3', b'"n_tx": -3'),
+         "unreadable header"),
+        (lambda raw: raw.replace(b'"<f4"', b'"<f8"'), "dtype '<f8'"),
+        (lambda raw: raw[:-6], "1794 bytes of samples, the header gives "
+                               "3 x 3 x 50 float32 samples"),
+        (lambda raw: raw + b"\0" * 4, "1804 bytes"),
+    ], ids=["magic", "json", "size", "dtype", "truncated", "trailing"])
+    def test_bad_file_raises(self, tmp_path, edit, match):
+        path = tmp_path / "ch.goatcd"
+        write_channels(ChannelDataSet(np.zeros((3, 3, 50)), FS), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ChannelFileError, match=match) as exc:
+            read_channels(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_read_write_byte_identical(self, tmp_path):
         med, arr, scat = small_homog_setup()
