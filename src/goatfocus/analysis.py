@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DegenerateSegmentError
-from .goatsolve import _shooting_scan
+from .goatsolve import _brackets, _cause_counts, _ends, _scan_rows
 from .medium import Medium, Point2, boundary_eval, boundary_slope
 from .raytrace import MIN_SEGMENT
 
@@ -217,15 +217,17 @@ def bracket_scan(medium: Medium, p0: Point2, pN: Point2) -> ConditionReport:
     sign across the first interface's domain?  The witness carries the
     bracketing interval (or the per-cause skip counts when rays never
     straddle the focus)."""
-    samples, causes = _shooting_scan(medium, p0, pN)
-    for (xa, fa), (xb, fb) in zip(samples, samples[1:]):
-        if fa == 0.0 or fa * fb < 0.0:
-            return ConditionReport("bracket_exists", 1, True, witness=(xa, xb),
-                                   margin=float(len(samples)))
+    cand, miss, causes = _scan_rows(medium, _ends(p0, pN))
+    _, ia, ib = _brackets(miss)
+    evaluated = int(np.sum(~np.isnan(miss)))
+    if ia.size:
+        return ConditionReport("bracket_exists", 1, True,
+                               witness=(float(cand[ia[0]]), float(cand[ib[0]])),
+                               margin=float(evaluated))
     return ConditionReport("bracket_exists", 1, False,
-                           witness={"skipped": causes,
-                                    "evaluated": len(samples)},
-                           margin=float(len(samples)))
+                           witness={"skipped": _cause_counts(causes[:, 0]),
+                                    "evaluated": evaluated},
+                           margin=float(evaluated))
 
 
 # Constant-ToF curves are closed ovals; the dz/dx parameterization breaks

@@ -5,8 +5,10 @@ every target of a medium whose layers share one speed, get the exact
 straight chord.  The other rows are grouped by target layer and cut into
 blocks of ``_BLOCK_ROWS``, which may mix sources; each block is one
 :func:`goatsolve.tof_rows` call, which re-verifies every row as the scalar
-solver does, and only rows that fail go to :func:`goatsolve.solve_hybrid`
-on the stack they were solved in, so batch and scalar agree bit for bit.
+solver does, and the block's rows that fail go together to one
+:func:`goatsolve.hybrid_rows` call on the stack they were solved in.  The
+scalar solver runs the same two stages on one row, so batch and scalar
+agree bit for bit; a row no stage verifies is NaN.
 Blocks are the unit of parallel work: a row's ToF does not depend on the
 other rows of its block, so the result does not depend on the block size or
 on the number of workers.
@@ -15,12 +17,10 @@ on the number of workers.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 
 import numpy as np
 
-from .errors import GoatFocusError
-from .goatsolve import SolverOptions, solve_hybrid, tof_rows
+from .goatsolve import SolverOptions, hybrid_rows, tof_rows
 from .medium import Medium, Point2
 
 # Rows per row-Newton call; bounds the size of its working arrays.
@@ -66,11 +66,9 @@ def _solve_pairs(medium: Medium, sources, tx, tz, opts: SolverOptions,
         ends[0], ends[1] = sx[s], sz[s]
         ends[2], ends[3] = flat_x[t], flat_z[t]
         out[s, t], ok = tof_rows(stack, ends.T, opts)
-        for i in np.flatnonzero(~ok) if opts.bisection_fallback else ():
-            with suppress(GoatFocusError):  # a failed row keeps its NaN
-                out[s[i], t[i]] = solve_hybrid(stack, sources[s[i]],
-                                               Point2(ends[2, i], ends[3, i]),
-                                               opts).tof
+        if opts.bisection_fallback and not np.all(ok):
+            r = np.flatnonzero(~ok)
+            out[s[r], t[r]] = hybrid_rows(stack, ends[:, r], opts)[1]
 
     if len(blocks) > 1:
         # Even one worker runs in a pool thread: glibc hands the freed top of

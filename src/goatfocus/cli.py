@@ -176,8 +176,12 @@ def cmd_check(args) -> int:
     scn = load(args.scenario)
     p0 = _pick_source(args, scn)
     pN = _pick_focus(args, scn)
-    med = scn.medium
-    out = {"bracket": _report(bracket_scan(med, p0, pN))}
+    # The conditions of the stack down to the focus's layer, which solve
+    # and oracle work in; a first-layer focus crosses no interface.
+    med = scn.medium.truncated(scn.medium.layer_of(pN))
+    out = {}
+    if med.num_layers > 1:
+        out["bracket"] = _report(bracket_scan(med, p0, pN))
 
     try:
         chord = initial_guess_straight(med, p0, pN)
@@ -306,6 +310,10 @@ def cmd_beamform(args) -> int:
             raise ChannelFileError(
                 f"{ch_path}: cached sample rate {channels.sample_rate!r} Hz, "
                 f"the scenario's is {fs!r} Hz")
+        if channels.provenance != scn.provenance:
+            raise ChannelFileError(
+                f"{ch_path}: cached channels are from "
+                f"{channels.provenance!r}, the scenario is {scn.provenance!r}")
     else:
         sx = np.array([p.x for p, _ in scn.imaging.scatterers])
         sz = np.array([p.z for p, _ in scn.imaging.scatterers])

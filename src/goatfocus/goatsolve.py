@@ -11,16 +11,19 @@ full variable set is reconstructed from the crossings alone and every
 equation group is re-verified; nothing is trusted from solver state.
 
 The Newton works on rows, one two-point problem each, with a Thomas sweep
-per row; a single solve is the one-row case, so :func:`solve` and the
-batched :func:`tof_rows` share one implementation.  Its arrays are
-interface-major: endpoints are (4, rows), crossings and residuals
-(K, rows) for K interfaces, segments (K+1, rows), so each interface is one
-contiguous vector however few interfaces there are.
+per row, and so does the shooting stage for the rows it rejects: every
+row's candidate rays are traced together and every bracket is refined
+under masks.  A single solve is the one-row case of both, so
+:func:`solve` and the batched :func:`tof_rows` and :func:`hybrid_rows`
+share one implementation.  The arrays are interface-major: endpoints are
+(4, rows), crossings and residuals (K, rows) for K interfaces, segments
+(K+1, rows), so each interface is one contiguous vector however few
+interfaces there are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .errors import (
     TotalReflectionError,
 )
 from .medium import _DOMAIN_SLACK, Linear, Medium, Point2
-from .raytrace import MIN_SEGMENT, RayPath, propagate
+from .raytrace import LOST_CAUSES, MIN_SEGMENT, RayPath, _chord_root, trace_rows
 
 _SHOOTING_CANDIDATES = 64
 _FP_TOL = 1e-13  # |terminal x - focus x| target for shooting (m)
@@ -184,9 +187,7 @@ def _chord_rows(medium: Medium, ends):
     """Crossings (K, rows) of each row's straight chord with every
     interface, ``ends`` being (4, rows); NaN where a chord misses the
     interface between its endpoints or inside the lateral domain.  Curved
-    interfaces are found on the chord parameter t of h(t) = b(x(t)) - z(t):
-    bisection isolates a root to a bracket of 2**-20 of the chord, where a
-    safeguarded Newton step finishes it."""
+    interfaces are crossed by :func:`raytrace._chord_root` on the chord."""
     x0, z0, xN, zN = ends
     lo, hi = medium.domain
     xs = np.empty((medium.num_layers - 1, ends.shape[1]))
@@ -199,37 +200,6 @@ def _chord_rows(medium: Medium, ends):
         xs[i] = np.where((0.0 < t) & (t < 1.0) & (lo - 1e-12 <= x)
                             & (x <= hi + 1e-12), x, np.nan)
     return xs
-
-
-def _chord_root(curve, x0, z0, dx, dz, lo, hi):
-    """Root t in [0, 1] of h(t) = b(x0 + t dx) - (z0 + t dz), one per row;
-    NaN where h does not change sign over the chord."""
-    def h(t):
-        return curve._eval(x0 + t * dx) - (z0 + t * dz)
-
-    a, b = np.zeros_like(x0), np.ones_like(x0)
-    ha, hb = h(a), h(b)
-    for _ in range(20):
-        m = 0.5 * (a + b)
-        hm = h(m)
-        left = ha * hm <= 0
-        a, ha, b = np.where(left, a, m), np.where(left, ha, hm), np.where(left, m, b)
-    t = 0.5 * (a + b)
-    scale = np.maximum(np.abs(dz), np.abs(dx))
-    go = ha * hb <= 0
-    for _ in range(60):
-        ht = h(t)
-        go &= (np.abs(ht) > 1e-13) & ((b - a) * scale > 1e-16)
-        if not np.any(go):
-            break
-        left = go & (ha * ht <= 0)
-        right = go & ~left
-        a, ha, b = np.where(right, t, a), np.where(right, ht, ha), np.where(left, t, b)
-        # Newton on h inside the bracket; bisect where it would leave it.
-        step = t - ht / (curve._slope(np.clip(x0 + t * dx, lo, hi)) * dx - dz)
-        step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
-        t = np.where(go, step, t)
-    return np.where(ha * hb > 0, np.nan, t)
 
 
 def initial_guess_straight(medium: Medium, p0: Point2, pN: Point2) -> np.ndarray:
@@ -334,6 +304,13 @@ def tof_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
     """
     ends = np.ascontiguousarray(np.transpose(ends), dtype=float)
     xs, _ = _newton_rows(medium, ends, _chord_rows(medium, ends), opts)
+    return _checked_tofs(medium, ends, xs, opts)
+
+
+def _checked_tofs(medium: Medium, ends, xs, opts: SolverOptions):
+    """(tof, ok) of the crossings ``xs`` (K, rows) between ``ends``
+    (4, rows): ok where every check of :func:`_verify_rows` passes, and NaN
+    in tof where one fails."""
     failed, _, _, tof = _verify_rows(medium, ends, xs, opts.tol_residual)
     ok = ~np.any(failed, axis=0)
     return np.where(ok, tof, np.nan), ok
@@ -391,116 +368,163 @@ def solve_newton(medium: Medium, p0: Point2, pN: Point2,
                              "newton", opts)
 
 
-def _shooting_scan(medium: Medium, p0: Point2, pN: Point2):
-    """Evaluate the terminal miss FP(x1) = x_terminal - pN.x over candidate
-    first crossings; returns (valid (x, fp) samples, failure cause counts)."""
+def _scan_rows(medium: Medium, ends):
+    """Terminal misses of rays launched through equispaced first crossings,
+    every row of ``ends`` (4, rows) at once.
+
+    Returns (cand, miss, causes): the candidate crossings, the misses
+    x_terminal - xN (rows, candidates), NaN for a lost ray, and the count of
+    lost rays of each row per cause of ``LOST_CAUSES`` (causes, rows).
+    """
     lo, hi = medium.domain
     pad = 1e-9 * (hi - lo)
     cand = np.linspace(lo + pad, hi - pad, _SHOOTING_CANDIDATES)
-    samples = []
-    causes: dict[str, int] = {}
-    for x in cand:
-        try:
-            path = propagate(medium, p0, float(x), pN.z)
-        except TotalReflectionError:
-            causes["total_reflection"] = causes.get("total_reflection", 0) + 1
-        except (NoIntersectionError, DegenerateSegmentError):
-            causes["no_intersection"] = causes.get("no_intersection", 0) + 1
-        else:
-            samples.append((float(x), path.points[-1].x - pN.x))
-    return samples, causes
+    miss = np.empty((ends.shape[1], cand.size))
+    causes = np.zeros((len(LOST_CAUSES), ends.shape[1]), dtype=int)
+    codes = np.arange(1, len(LOST_CAUSES) + 1)[:, None]
+    for j, x in enumerate(cand):
+        _, x_end, _, lost = trace_rows(medium, ends, np.full(ends.shape[1], x))
+        miss[:, j] = x_end - ends[2]
+        causes += lost == codes
+    return cand, miss, causes
+
+
+def _brackets(miss):
+    """Every row's brackets of a root of the terminal miss, as (row, ia, ib)
+    index arrays into ``miss`` in row and then candidate order.  A bracket
+    is an exact zero (ib = ia) or a sign change between a candidate and the
+    next one whose ray arrives."""
+    rows = np.arange(miss.shape[0])
+    row, ia = np.nonzero(miss == 0.0)
+    found = [(row, ia, ia)]
+    last = np.full(miss.shape[0], -1)  # each row's last arriving candidate
+    for j in range(miss.shape[1]):
+        arrived = ~np.isnan(miss[:, j])
+        r = np.flatnonzero(arrived & (last >= 0)
+                           & (miss[rows, last] * miss[:, j] < 0.0))
+        found.append((r, last[r], np.full(r.size, j)))
+        last[arrived] = j
+    row, ia, ib = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((ia, row))
+    return row[order], ia[order], ib[order]
+
+
+def _shoot_rows(medium: Medium, ends):
+    """Shooting on the first crossing, every row of ``ends`` (4, rows) at
+    once: bracket the terminal miss among the scan candidates (skipping lost
+    rays), refine all brackets together by bisection and a secant polish,
+    and keep each row's minimal-ToF root (the first on ties) among roots
+    more than 1e-9 m apart.
+
+    Returns (xs, evals, multiple_roots, causes): the crossings (K, rows) of
+    that root's ray, NaN for a row without a root; the rays evaluated per
+    row; whether a row has several roots; the scan's lost-ray counts.
+    """
+    cand, miss, causes = _scan_rows(medium, ends)
+    evals = np.sum(~np.isnan(miss), axis=1)
+    row, ia, ib = _brackets(miss)
+    xa, xb, fa, fb = cand[ia], cand[ib], miss[row, ia], miss[row, ib]
+    del miss
+    e = ends[:, row]
+
+    def fp(i, x):
+        """Terminal misses of the rays of brackets i launched through x."""
+        return trace_rows(medium, e[:, i], x)[1] - e[2, i]
+
+    sign = xa != xb  # the other brackets are exact zeros, roots as they are
+    live = np.flatnonzero(sign)
+    for _ in range(200):
+        if not live.size:
+            break
+        xm = 0.5 * (xa[live] + xb[live])
+        fm = fp(live, xm)
+        lost = np.isnan(fm)
+        # A lost midpoint shrinks its bracket toward the side closer to a
+        # root; the bracket is given up (fa NaN) if that ray is lost too.
+        s = live[lost]
+        xa[s] = xa[s] + 0.25 * (xm[lost] - xa[s])
+        fa[s] = fp(s, xa[s])
+        i, xm, fm = live[~lost], xm[~lost], fm[~lost]
+        np.add.at(evals, row[i], 1)
+        done = (np.abs(fm) <= _FP_TOL) | (xb[i] - xa[i] < 1e-17)
+        left = fa[i] * fm <= 0.0
+        xb[i], fb[i] = (np.where(done | left, xm, xb[i]),
+                        np.where(done | left, fm, fb[i]))
+        xa[i], fa[i] = (np.where(done | ~left, xm, xa[i]),
+                        np.where(done | ~left, fm, fa[i]))
+        live = np.concatenate((s[~np.isnan(fa[s])], i[~done]))
+
+    # Secant polish from the bracket ends; a converged bracket starts 1e-12 m
+    # beyond its root and keeps the root if that ray is lost.
+    sec = np.flatnonzero(sign & ~np.isnan(fa))
+    x_prev, f_prev, x_cur, f_cur = xa[sec], fa[sec], xb[sec], fb[sec]
+    k = np.flatnonzero(x_cur == x_prev)
+    x_cur[k] = x_prev[k] + 1e-12
+    f_cur[k] = fp(sec[k], x_cur[k])
+    k = k[np.isnan(f_cur[k])]
+    x_cur[k], f_cur[k] = x_prev[k], f_prev[k]
+    go = np.ones(sec.size, dtype=bool)
+    for _ in range(12):
+        go &= (f_cur != f_prev) & (np.abs(f_cur) >= 1e-16)
+        k = np.flatnonzero(go)
+        if not k.size:
+            break
+        x_next = x_cur[k] - f_cur[k] * (x_cur[k] - x_prev[k]) / (f_cur[k] - f_prev[k])
+        f_next = fp(sec[k], x_next)
+        arrived = ~np.isnan(f_next)
+        np.add.at(evals, row[sec[k[arrived]]], 1)
+        better = arrived & (np.abs(f_next) < np.abs(f_cur[k]))
+        go[k[~better]] = False
+        k, x_next, f_next = k[better], x_next[better], f_next[better]
+        x_prev[k], f_prev[k], x_cur[k], f_cur[k] = x_cur[k], f_cur[k], x_next, f_next
+    xa[sec] = x_cur
+    found = ~np.isnan(fa)
+    row, root = row[found], xa[found]
+
+    # Drop a root within 1e-9 m of the row's next smaller one: adjacent
+    # brackets may converge on their shared end.
+    order = np.lexsort((root, row))
+    row, root = row[order], root[order]
+    keep = np.diff(row, prepend=-1) != 0
+    keep[1:] |= np.diff(root) > 1e-9
+    row, root = row[keep], root[keep]
+    xs_root, _, tof, _ = trace_rows(medium, ends[:, row], root)
+    best = np.lexsort((tof, row))  # stable: ties keep the smaller root
+    best = best[np.flatnonzero(np.diff(row[best], prepend=-1))]
+    xs = np.full((medium.num_layers - 1, ends.shape[1]), np.nan)
+    xs[:, row[best]] = xs_root[:, best]
+    multiple = np.bincount(row, minlength=ends.shape[1]) > 1
+    return xs, evals, multiple, causes
+
+
+def _cause_counts(causes) -> dict:
+    """One row's lost-ray counts of :func:`_scan_rows` by cause name,
+    leaving out causes that lost no ray."""
+    return {name: int(n) for name, n in zip(LOST_CAUSES, causes) if n}
+
+
+def _no_bracket(causes) -> NoBracketError:
+    causes = _cause_counts(causes)
+    return NoBracketError(
+        "terminal miss never changes sign across the scan "
+        f"({_SHOOTING_CANDIDATES - sum(causes.values())} rays evaluated, "
+        f"skipped: {causes})", causes=causes)
 
 
 def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
                    opts: SolverOptions = SolverOptions()) -> GoatSolution:
-    """Shooting on the first crossing: bracket a sign change of the terminal
-    miss among equispaced candidates (skipping rays lost to total reflection),
-    then refine by bisection and a secant polish.
+    """Shooting on the first crossing, the one-row case of
+    :func:`_shoot_rows`.
 
-    If several roots exist the minimal-ToF one is returned and flagged.
+    Raises NoBracketError, with the scan's lost-ray causes, when no root is
+    found; if several roots exist the minimal-ToF one is returned and
+    flagged.
     """
-    def fp(x):
-        """Terminal miss of the ray launched through x; None if it is lost."""
-        try:
-            return propagate(medium, p0, x, pN.z).points[-1].x - pN.x
-        except (TotalReflectionError, NoIntersectionError,
-                DegenerateSegmentError):
-            return None
-
-    samples, causes = _shooting_scan(medium, p0, pN)
-    evals = len(samples)
-    brackets = []
-    for (xa, fa), (xb, fb) in zip(samples, samples[1:]):
-        if fa == 0.0:
-            brackets.append((xa, xa, fa, fa))
-        elif fa * fb < 0.0:
-            brackets.append((xa, xb, fa, fb))
-    if samples and samples[-1][1] == 0.0:
-        xa, fa = samples[-1]
-        brackets.append((xa, xa, fa, fa))
-    if not brackets:
-        raise NoBracketError(
-            "terminal miss never changes sign across the scan "
-            f"({len(samples)} rays evaluated, skipped: {causes})", causes=causes)
-
-    roots = []
-    for xa, xb, fa, fb in brackets:
-        if xa == xb:
-            roots.append(xa)
-            continue
-        for _ in range(200):
-            xm = 0.5 * (xa + xb)
-            fm = fp(xm)
-            if fm is None:
-                # Mid-bracket failure: shrink toward the side closer to a root.
-                xa = xa + 0.25 * (xm - xa)
-                fa = fp(xa)
-                if fa is None:
-                    break
-                continue
-            evals += 1
-            if abs(fm) <= _FP_TOL or (xb - xa) < 1e-17:
-                xa = xb = xm
-                fa = fb = fm
-                break
-            if fa * fm <= 0.0:
-                xb, fb = xm, fm
-            else:
-                xa, fa = xm, fm
-        if fa is None:
-            continue  # the ray is lost on both sides: give this bracket up
-        x_prev, f_prev = xa, fa
-        x_cur, f_cur = (xb, fb) if xb != xa else (xa + 1e-12, fp(xa + 1e-12))
-        if f_cur is None:  # the secant start is lost: keep the bisection root
-            x_cur, f_cur = xa, fa
-        for _ in range(12):
-            if f_cur == f_prev or abs(f_cur) < 1e-16:
-                break
-            x_next = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
-            f_next = fp(x_next)
-            if f_next is None:
-                break
-            evals += 1
-            if abs(f_next) >= abs(f_cur):
-                break
-            x_prev, f_prev, x_cur, f_cur = x_cur, f_cur, x_next, f_next
-        roots.append(x_cur)
-    if not roots:
-        raise NoBracketError(
-            f"every bracket lost its ray during refinement (scan skipped: "
-            f"{causes})", causes=causes)
-
-    # Deduplicate near-identical roots from adjacent brackets.
-    uniq: list[float] = []
-    for r in sorted(roots):
-        if not uniq or abs(r - uniq[-1]) > 1e-9:
-            uniq.append(r)
-
-    paths = [propagate(medium, p0, r, pN.z) for r in uniq]
-    best = min(paths, key=lambda path: path.tof_total)
-    return _verify_and_build(medium, p0, pN, [q.x for q in best.points[1:-1]],
-                             evals, "shooting", opts,
-                             multiple_roots=len(paths) > 1)
+    xs, evals, multiple, causes = _shoot_rows(medium, _ends(p0, pN))
+    if np.isnan(xs[0, 0]):
+        raise _no_bracket(causes[:, 0])
+    return _verify_and_build(medium, p0, pN, xs[:, 0], int(evals[0]),
+                             "shooting", opts, bool(multiple[0]))
 
 
 def solve(medium: Medium, p0: Point2, pN: Point2,
@@ -531,25 +555,45 @@ def solve(medium: Medium, p0: Point2, pN: Point2,
     return solve_hybrid(sub, p0, pN, opts)
 
 
+def hybrid_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
+    """The stage for rows the row Newton rejects, ``ends`` being (4, rows):
+    :func:`_shoot_rows`, then a row Newton polish of the shot crossings,
+    both re-verified as in :func:`tof_rows`.  A row keeps the polished
+    crossings if they pass every check, else the shot ones if those pass,
+    else NaN.
+
+    Returns (xs, tof, iterations, shot): the kept crossings (K, rows) and
+    times of flight; the shot's ray evaluations plus, where the polish is
+    kept, its Newton iterations; and the :func:`_shoot_rows` result.
+    """
+    shot = _shoot_rows(medium, ends)
+    polished, iterations = _newton_rows(medium, ends, shot[0], opts)
+    tof_pol, ok_pol = _checked_tofs(medium, ends, polished, opts)
+    tof_shot, ok_shot = _checked_tofs(medium, ends, shot[0], opts)
+    xs = np.where(ok_pol, polished, np.where(ok_shot, shot[0], np.nan))
+    tof = np.where(ok_pol, tof_pol, tof_shot)
+    return xs, tof, shot[1] + np.where(ok_pol, iterations, 0), shot
+
+
 def solve_hybrid(medium: Medium, p0: Point2, pN: Point2,
                  opts: SolverOptions = SolverOptions()) -> GoatSolution:
     """:func:`solve`'s stage after a failed Newton, on the stack down to
-    pN's layer: shooting, then a Newton polish of its crossings."""
-    try:
-        shot = solve_shooting(medium, p0, pN, opts)
-    except NoBracketError as exc:
-        n_skipped = sum(exc.causes.values())
-        if n_skipped and exc.causes.get("total_reflection", 0) == n_skipped:
+    pN's layer: the one-row case of :func:`hybrid_rows`.  Raises the shot
+    crossings' failed check when neither they nor their polish pass, and
+    TotalReflectionError for a scan without a root whose only lost rays
+    are totally reflected."""
+    xs, _, iterations, (shot, _, multiple, causes) = hybrid_rows(
+        medium, _ends(p0, pN), opts)
+    if np.isnan(shot[0, 0]):
+        exc = _no_bracket(causes[:, 0])
+        if list(exc.causes) == ["total_reflection"]:
             raise TotalReflectionError(
                 "every launch candidate is totally reflected; no transmitted "
                 "path reaches the focus", ratio=None) from exc
-        raise
-    try:
-        polished = solve_newton(medium, p0, pN, opts, x0=np.asarray(shot.xs))
-    except (NonConvergenceError, TotalReflectionError):
-        return replace(shot, method="hybrid")
-    return replace(polished, iterations=shot.iterations + polished.iterations,
-                   method="hybrid", multiple_roots=shot.multiple_roots)
+        raise exc
+    xs = shot if np.isnan(xs[0, 0]) else xs
+    return _verify_and_build(medium, p0, pN, xs[:, 0], int(iterations[0]),
+                             "hybrid", opts, bool(multiple[0]))
 
 
 def tof_of_path(medium: Medium, points) -> float:

@@ -84,6 +84,7 @@ class ChannelDataSet:
     sample_rate: float
     t0: float = 0.0
     omitted: tuple[tuple[int, int, str], ...] = field(default=())
+    provenance: str = ""  # the file header's, for a set read back
 
     @property
     def n_elements(self) -> int:
@@ -457,7 +458,8 @@ def write_channels(channels: ChannelDataSet, path, provenance: str = ""):
 
 def read_channels(path) -> ChannelDataSet:
     """The channel set of :func:`write_channels`' format, its samples the
-    stored float32 values with no conversion (four bytes per sample).
+    stored float32 values with no conversion (four bytes per sample), and
+    its ``provenance`` the header's.
 
     Raises :class:`ChannelFileError` for a bad magic, an unreadable header,
     a dtype other than ``<f4`` or a sample count the header does not give.
@@ -487,7 +489,8 @@ def read_channels(path) -> ChannelDataSet:
                 f"{path}: {size} bytes of samples, the header gives "
                 f"{shape[0]} x {shape[1]} x {shape[2]} float32 samples")
         raw = np.fromfile(fh, dtype="<f4")
-    return ChannelDataSet(raw.reshape(shape), rate, t0)
+    return ChannelDataSet(raw.reshape(shape), rate, t0,
+                          provenance=header.get("provenance"))
 
 
 def quantize_db_image(image: Image) -> np.ndarray:

@@ -1,28 +1,25 @@
-"""Forward ray propagation: refraction, boundary intersection, path assembly.
+"""Forward ray tracing on rows: refraction, boundary crossings, lost rays.
 
-A ray launched from a point above the first boundary is propagated interface
-by interface: measure the incidence angle against the local tangent, refract
-the sine through the speed ratio, rotate the transmitted direction off the
-inward normal, and intersect with the next boundary (or a horizontal stop
-line).  This is the constructive machinery behind the shooting solver and
-the existence checks; the angle sign convention is the signed tangential
-component of the unit segment vector, so no side-of-normal case analysis is
-needed anywhere.
+Each row launches one ray from its source through a chosen crossing x1 of
+the first boundary and follows it interface by interface: measure the
+incidence angle against the local tangent, refract the sine through the
+speed ratio, rotate the transmitted direction off the inward normal, and
+cross the next boundary or, after the last one, the horizontal stop line at
+the row's focus depth.  This is the constructive machinery behind the
+shooting stage and the bracket check; the angle sign convention is the
+signed tangential component of the unit segment vector, so no
+side-of-normal case analysis is needed anywhere.  A ray that is totally
+reflected, misses a boundary inside the lateral domain or runs a degenerate
+segment is lost: its row carries a cause code and NaN, and nothing raises.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSegmentError,
-    NoIntersectionError,
-    TotalReflectionError,
-)
-from .medium import Linear, Medium, Point2, boundary_eval, boundary_slope
+from .medium import _DOMAIN_SLACK, Linear, Medium, Point2
 
 # Segments shorter than this are degenerate (m).
 MIN_SEGMENT = 1e-12
@@ -34,20 +31,10 @@ _GRAZING_LIMIT = 1.0 - 1e-12
 # Intersection root polish target on |b(x(t)) - z(t)| (m).
 _INTERSECT_TOL = 1e-13
 
-
-@dataclass(frozen=True)
-class RaySegmentState:
-    """A straight ray inside one layer: origin, unit direction, layer index."""
-
-    origin: Point2
-    direction: tuple[float, float]
-    layer_index: int
-
-    def __post_init__(self):
-        dx, dz = self.direction
-        norm = math.hypot(dx, dz)
-        if abs(norm - 1.0) > 1e-9:
-            object.__setattr__(self, "direction", (dx / norm, dz / norm))
+# Why a ray is lost: :func:`trace_rows` reports cause i as code i + 1, and
+# code 0 for a ray that arrives.
+LOST_CAUSES = ("total_reflection", "no_intersection")
+_REFLECTED, _MISSED = 1, 2
 
 
 @dataclass(frozen=True)
@@ -65,237 +52,191 @@ class RayPath:
     tangent_angles: tuple[float, ...]
     tof_per_layer: tuple[float, ...]
     tof_total: float
-    recrossed_boundaries: tuple[int, ...] = field(default=())
 
 
-def sin_incidence(p_prev: Point2, p: Point2, tan_alpha: float) -> float:
-    """Signed sine of the angle between segment p_prev->p and the boundary
-    normal at p, for a boundary with tangent slope ``tan_alpha``.
+@np.errstate(divide="ignore", invalid="ignore")
+def sin_incidence(dX, dZ, tau):
+    """Signed sines of the angles between segments (dX, dZ) and the normals
+    of interfaces of tangent slope ``tau``, with the segment lengths.
 
-    Equals the projection of the unit segment vector onto the unit tangent
-    (1, tan_alpha)/sqrt(1 + tan_alpha^2); positive when the ray runs toward
-    +x along the tangent.
+    A sine is the projection of the unit segment vector onto the unit
+    tangent (1, tau)/sqrt(1 + tau^2), positive when the ray runs toward +x
+    along the tangent; it is the cosine of an angle, clipped against float
+    spill.
     """
-    dx = p.x - p_prev.x
-    dz = p.z - p_prev.z
-    seg = math.hypot(dx, dz)
-    if seg < MIN_SEGMENT:
-        raise DegenerateSegmentError(
-            f"segment {p_prev} -> {p} shorter than {MIN_SEGMENT} m")
-    s = (dx + dz * tan_alpha) / (math.sqrt(1.0 + tan_alpha * tan_alpha) * seg)
-    # The exact expression is a cosine of an angle; clip float spill.
-    return min(1.0, max(-1.0, s))
+    L = np.hypot(dX, dZ)
+    s = (dX + dZ * tau) / (np.sqrt(1.0 + tau * tau) * L)
+    return np.clip(s, -1.0, 1.0), L
 
 
-def refract(sin_theta_in: float, c_in: float, c_out: float) -> float:
-    """Transmitted sine through an interface: sin' = (c_out/c_in) * sin.
-
-    Raises TotalReflectionError when the transmitted sine leaves [-1, 1]
-    (grazing transmission within 1e-12 of unity counts as reflected).
-    """
-    s = (c_out / c_in) * sin_theta_in
-    if abs(s) > _GRAZING_LIMIT:
-        raise TotalReflectionError(
-            f"total reflection: |{c_out}/{c_in} * {sin_theta_in:.6g}| = "
-            f"{abs(s):.6g} > 1", ratio=s)
-    return s
+def refract(sin_in, c_in, c_out):
+    """Transmitted sines (c_out/c_in) * sin_in, and the mask of total
+    reflection: a transmitted sine beyond [-1, 1] (grazing transmission
+    within 1e-12 of unity counts as reflected)."""
+    s = (c_out / c_in) * sin_in
+    return s, np.abs(s) > _GRAZING_LIMIT
 
 
-def next_direction(tan_alpha: float,
-                   sin_theta_out: float) -> tuple[float, float]:
-    """Unit direction of the transmitted ray.
+def next_direction(tau, sin_out):
+    """Unit directions (ux, uz) of the transmitted rays.
 
     Composes the transmitted sine along the unit tangent (tx, tz) with the
     matching cosine along the inward (transmission-side) unit normal; rays
     propagate downward, so the normal is (-tz, tx).
     """
-    t_norm = math.sqrt(1.0 + tan_alpha * tan_alpha)
-    tx, tz = 1.0 / t_norm, tan_alpha / t_norm
-    cos_out = math.sqrt(max(0.0, 1.0 - sin_theta_out * sin_theta_out))
-    return (sin_theta_out * tx - cos_out * tz,
-            sin_theta_out * tz + cos_out * tx)
+    T = np.sqrt(1.0 + tau * tau)
+    tx, tz = 1.0 / T, tau / T
+    cos_out = np.sqrt(np.maximum(0.0, 1.0 - sin_out * sin_out))
+    return sin_out * tx - cos_out * tz, sin_out * tz + cos_out * tx
 
 
-def _intersect_line(ox, oz, dx, dz, k, d):
-    """Ray parameter of the crossing with z = k*x + d, or None."""
-    denom = dz - k * dx
-    if abs(denom) < 1e-300:
-        return None
+@np.errstate(divide="ignore", invalid="ignore")
+def _line_t(ox, oz, ux, uz, k, d):
+    """Ray parameter of the crossing with z = k*x + d, NaN unless positive."""
+    denom = uz - k * ux
     t = (k * ox + d - oz) / denom
-    return t if t > 0.0 else None
+    return np.where((np.abs(denom) >= 1e-300) & (t > 0.0), t, np.nan)
 
 
-def intersect_next(state: RaySegmentState, medium: Medium,
-                   z_stop: float | None = None) -> Point2:
-    """First crossing of the ray with the next interface below it.
+@np.errstate(divide="ignore", invalid="ignore")
+def _march(curve, ox, oz, ux, uz, lo, hi, step):
+    """Ray parameter of each ray's first crossing with a curved boundary,
+    NaN where the ray leaves the lateral domain first.
 
-    With ``z_stop`` given, the target is the horizontal stop line z = z_stop
-    (the virtual last interface used by the shooting solver; it extends
-    beyond the lateral domain).  Otherwise the target is the medium boundary
-    whose index equals ``state.layer_index`` and the crossing must occur
-    inside the lateral domain.
-
-    Straight boundaries are intersected in closed form.  Curved ones are
-    bracketed by marching the ray parameter in steps of (smallest interface
-    gap)/8 and polished by bisection plus a final secant step to
-    |b(x(t)) - z(t)| <= 1e-13 m.
+    Every ray marches t in steps of ``step`` to a sign change of
+    g(t) = b(x(t)) - z(t), stepping off the boundary first if it starts on
+    it; :func:`_chord_root` then polishes each bracket to |g| <= 1e-13 m.
     """
-    ox, oz = state.origin.x, state.origin.z
-    dx, dz = state.direction
+    def g(t, r):
+        return curve._eval(ox[r] + t * ux[r]) - (oz[r] + t * uz[r])
 
-    if z_stop is not None:
-        t = _intersect_line(ox, oz, dx, dz, 0.0, z_stop)
-        if t is None:
-            raise NoIntersectionError(
-                f"ray from {state.origin} does not reach z = {z_stop}",
-                boundary_index=state.layer_index)
-        return Point2(ox + t * dx, oz + t * dz)
-
-    bidx = state.layer_index  # boundary below layer `layer_index`
-    curve = medium.boundaries[bidx - 1]
-    lo, hi = medium.domain
-
-    if isinstance(curve, Linear):
-        t = _intersect_line(ox, oz, dx, dz, curve.k, curve.d)
-    else:
-        t = _march_curved(curve, ox, oz, dx, dz, lo, hi, medium.min_gap() / 8.0)
-    if t is None:
-        raise NoIntersectionError(
-            f"ray from {state.origin} exits the domain before crossing "
-            f"boundary {bidx}", boundary_index=bidx)
-    p = Point2(ox + t * dx, oz + t * dz)
-    if not (lo - 1e-12 <= p.x <= hi + 1e-12):
-        raise NoIntersectionError(
-            f"crossing of boundary {bidx} at x = {p.x:.6g} lies outside the "
-            f"lateral domain [{lo}, {hi}]", boundary_index=bidx)
-    return p
-
-
-def _march_curved(curve, ox, oz, dx, dz, lo, hi, step):
-    """Bracket-and-polish root of g(t) = b(x(t)) - z(t) for a curved boundary."""
-    def g(t):
-        return curve._eval(ox + t * dx) - (oz + t * dz)
-
-    # Cap the march at the domain exit (or a generous travel bound for
-    # near-vertical rays).
-    if dx > 1e-15:
-        t_exit = (hi - ox) / dx
-    elif dx < -1e-15:
-        t_exit = (lo - ox) / dx
-    else:
-        t_exit = (hi - lo) + abs(oz) + 1.0
-    t_prev, g_prev = 0.0, g(0.0)
-    if abs(g_prev) <= _INTERSECT_TOL:
-        # Already on the boundary (tangential start): step off it first.
-        t_prev += step * 1e-6
-        g_prev = g(t_prev)
-    t = t_prev
-    while t < t_exit:
-        t = min(t + step, t_exit)
-        gt = g(t)
-        if g_prev * gt <= 0.0:
-            return _polish_root(g, t_prev, t)
-        t_prev, g_prev = t, gt
-        if t >= t_exit:
-            break
-    return None
+    # The march ends at the domain exit, or after a generous travel bound
+    # for near-vertical rays.
+    t_exit = np.where(ux > 1e-15, (hi - ox) / ux,
+                      np.where(ux < -1e-15, (lo - ox) / ux,
+                               (hi - lo) + np.abs(oz) + 1.0))
+    t = np.zeros_like(ox)
+    g_prev = g(t, slice(None))
+    on = np.abs(g_prev) <= _INTERSECT_TOL
+    t[on] = step * 1e-6
+    g_prev[on] = g(t[on], on)
+    a, b = np.full_like(ox, np.nan), np.full_like(ox, np.nan)
+    live = np.flatnonzero(t < t_exit)
+    while live.size:
+        t_new = np.minimum(t[live] + step, t_exit[live])
+        g_new = g(t_new, live)
+        hit = g_prev[live] * g_new <= 0.0
+        a[live[hit]], b[live[hit]] = t[live[hit]], t_new[hit]
+        t[live], g_prev[live] = t_new, g_new
+        live = live[~hit & (t_new < t_exit[live])]
+    f = np.flatnonzero(~np.isnan(a))
+    w = b[f] - a[f]
+    s = _chord_root(curve, ox[f] + a[f] * ux[f], oz[f] + a[f] * uz[f],
+                    w * ux[f], w * uz[f], lo, hi)
+    t = np.full_like(ox, np.nan)
+    t[f] = a[f] + s * w
+    return t
 
 
-def _polish_root(g, a, b):
-    """Bisection to a tight bracket, then secant steps to the noise floor.
+def _chord_root(curve, x0, z0, dx, dz, lo, hi):
+    """Root t in [0, 1] of h(t) = b(x0 + t dx) - (z0 + t dz), one per row;
+    NaN where h does not change sign over the chord.  Bisection isolates
+    the root to a bracket of 2**-20 of the chord, where a safeguarded
+    Newton step finishes it to |h| <= 1e-13 m."""
+    def h(t):
+        return curve._eval(x0 + t * dx) - (z0 + t * dz)
 
-    The guaranteed result quality is |g| <= 1e-13 m; the secant polish
-    normally lands far below that, which keeps thin layers (whose residuals
-    amplify crossing errors) well conditioned.
-    """
-    ga, gb = g(a), g(b)
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        gm = g(m)
-        if abs(gm) <= _INTERSECT_TOL or (b - a) < 1e-16 * max(1.0, abs(b)):
-            break
-        if ga * gm <= 0.0:
-            b, gb = m, gm
-        else:
-            a, ga = m, gm
-    t_cur, g_cur = m, gm
-    t_prev, g_prev = (a, ga) if a != m else (b, gb)
+    a, b = np.zeros_like(x0), np.ones_like(x0)
+    ha, hb = h(a), h(b)
     for _ in range(20):
-        if g_cur == 0.0 or g_cur == g_prev:
+        m = 0.5 * (a + b)
+        hm = h(m)
+        left = ha * hm <= 0
+        a, ha, b = np.where(left, a, m), np.where(left, ha, hm), np.where(left, m, b)
+    t = 0.5 * (a + b)
+    scale = np.maximum(np.abs(dz), np.abs(dx))
+    go = ha * hb <= 0
+    for _ in range(60):
+        ht = h(t)
+        go &= (np.abs(ht) > _INTERSECT_TOL) & ((b - a) * scale > 1e-16)
+        if not np.any(go):
             break
-        t_next = t_cur - g_cur * (t_cur - t_prev) / (g_cur - g_prev)
-        g_next = g(t_next)
-        if abs(g_next) >= abs(g_cur):
-            break
-        t_prev, g_prev, t_cur, g_cur = t_cur, g_cur, t_next, g_next
-    return t_cur
+        left = go & (ha * ht <= 0)
+        right = go & ~left
+        a, ha, b = np.where(right, t, a), np.where(right, ht, ha), np.where(left, t, b)
+        # Newton on h inside the bracket; bisect where it would leave it.
+        step = t - ht / (curve._slope(np.clip(x0 + t * dx, lo, hi)) * dx - dz)
+        step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+        t = np.where(go, step, t)
+    return np.where(ha * hb > 0, np.nan, t)
 
 
-def _recrosses(curve, p_from: Point2, p_to: Point2, samples: int = 256) -> bool:
-    """True if the segment p_from -> p_to crosses ``curve`` strictly between
-    its endpoints (both endpoints may lie on interfaces)."""
-    xs = np.linspace(p_from.x, p_to.x, samples + 2)[1:-1]
-    if abs(p_to.x - p_from.x) < MIN_SEGMENT:
-        return False  # vertical segment: z is a function of x, no re-entry
-    zs = p_from.z + (xs - p_from.x) * (p_to.z - p_from.z) / (p_to.x - p_from.x)
-    diff = np.asarray(curve._eval(xs), dtype=float) - zs
-    return bool(np.any(diff <= 0.0) and np.any(diff >= 0.0))
+@np.errstate(invalid="ignore")
+def intersect_next(medium: Medium, k: int, ox, oz, ux, uz, z_stop=None):
+    """First crossings (x, z) of the rays from (ox, oz) along the unit
+    directions (ux, uz) with boundary ``k`` (0-based) of ``medium``, or with
+    the horizontal stop line z = z_stop where that is given; NaN where a
+    ray misses.
 
-
-def propagate(medium: Medium, p0: Point2, x1: float, z_stop: float,
-              check_unique: bool = False) -> RayPath:
-    """Propagate the ray that leaves ``p0`` through (x1, b1(x1)) down to the
-    horizontal line z = z_stop, refracting at every interface.
-
-    The crossing with the first boundary pins the whole path; each further
-    interface applies sin_incidence -> refract -> next_direction ->
-    intersect_next.  With ``check_unique`` the segments are additionally
-    scanned for re-crossings of the interface just left, and offending
-    interface indices are recorded on the returned path.
-
-    Raises TotalReflectionError / NoIntersectionError with the interface
-    index attached.
+    Straight boundaries and the stop line are crossed in closed form,
+    curved boundaries by :func:`_march` in steps of (smallest interface
+    gap)/8.  A boundary crossing must lie inside the lateral domain; the
+    stop line extends beyond it.
     """
-    n_bound = medium.num_layers - 1
-    b1 = medium.boundaries[0]
-    p1 = Point2(x1, boundary_eval(b1, x1))
-    if p1.z <= p0.z:
-        raise NoIntersectionError(
-            f"first crossing ({x1}, {p1.z}) not strictly below the launch "
-            f"point {p0}", boundary_index=1)
-
-    points = [p0, p1]
-    inc, refr, tang, tofs = [], [], [], []
-    recrossed: list[int] = []
-    speeds = medium.speeds
-    for n in range(1, n_bound + 1):
-        pn = points[-1]
-        tan_alpha = boundary_slope(medium.boundaries[n - 1], pn.x)
-        s_in = sin_incidence(points[-2], pn, tan_alpha)
-        try:
-            s_out = refract(s_in, speeds[n - 1], speeds[n])
-        except TotalReflectionError as exc:
-            exc.boundary_index = n
-            raise
-        direction = next_direction(tan_alpha, s_out)
-        state = RaySegmentState(pn, direction, n + 1)
-        if n < n_bound:
-            p_next = intersect_next(state, medium)
+    lo, hi = medium.domain
+    if z_stop is not None:
+        t = _line_t(ox, oz, ux, uz, 0.0, z_stop)
+    else:
+        curve = medium.boundaries[k]
+        if isinstance(curve, Linear):
+            t = _line_t(ox, oz, ux, uz, curve.k, curve.d)
         else:
-            p_next = intersect_next(state, medium, z_stop=z_stop)
-        if check_unique and _recrosses(medium.boundaries[n - 1], pn, p_next):
-            recrossed.append(n)
-        points.append(p_next)
-        inc.append(math.asin(s_in))
-        refr.append(math.asin(s_out))
-        tang.append(math.atan(tan_alpha))
+            t = _march(curve, ox, oz, ux, uz, lo, hi, medium.min_gap() / 8.0)
+        x = ox + t * ux
+        t[~((lo - 1e-12 <= x) & (x <= hi + 1e-12))] = np.nan
+    return ox + t * ux, oz + t * uz
 
-    for i in range(len(points) - 1):
-        seg = points[i].dist(points[i + 1])
-        if seg < MIN_SEGMENT:
-            raise DegenerateSegmentError(
-                f"degenerate segment between {points[i]} and {points[i + 1]}")
-        tofs.append(seg / speeds[i])
 
-    return RayPath(tuple(points), tuple(inc), tuple(refr), tuple(tang),
-                   tuple(tofs), sum(tofs), tuple(recrossed))
+def trace_rows(medium: Medium, ends, x1):
+    """Trace one ray per row from (ends[0], ends[1]) through the crossing
+    (x1, b1(x1)) of the first boundary down to the horizontal stop line
+    z = ends[3], refracting at every interface; ``ends`` is (4, rows) as in
+    the row solver, ``x1`` (rows,).
+
+    Returns (xs, x_end, tof, lost): crossings (K, rows), the terminal x and
+    the time of flight (rows,), and each row's lost code (0, or 1 + the
+    index of its cause in :data:`LOST_CAUSES`).  A lost row is NaN in the
+    other outputs.  A launch outside the lateral domain or not strictly
+    below the source is lost for no intersection, as are a missed crossing
+    and a degenerate segment.
+    """
+    lo, hi = medium.domain
+    c = medium.speeds
+    K = len(medium.boundaries)
+    X = np.full((K + 2, np.size(x1)), np.nan)
+    Z = np.full_like(X, np.nan)
+    X[0], Z[0], X[1] = ends[0], ends[1], x1
+    Z[1] = medium.boundaries[0]._eval(X[1])
+    lost = np.where((lo - _DOMAIN_SLACK <= X[1]) & (X[1] <= hi + _DOMAIN_SLACK)
+                    & (Z[1] > Z[0]), 0, _MISSED).astype(np.int8)
+    for n, curve in enumerate(medium.boundaries, start=1):
+        r = np.flatnonzero(lost == 0)
+        tau = curve._slope(X[n, r])
+        s_in, L = sin_incidence(X[n, r] - X[n - 1, r], Z[n, r] - Z[n - 1, r], tau)
+        s_out, reflected = refract(s_in, c[n - 1], c[n])
+        lost[r[reflected]] = _REFLECTED
+        lost[r[L < MIN_SEGMENT]] = _MISSED
+        go = lost[r] == 0
+        r = r[go]
+        ux, uz = next_direction(tau[go], s_out[go])
+        X[n + 1, r], Z[n + 1, r] = intersect_next(
+            medium, n, X[n, r], Z[n, r], ux, uz, ends[3, r] if n == K else None)
+        lost[r[np.isnan(X[n + 1, r])]] = _MISSED
+    L = np.hypot(X[1:] - X[:-1], Z[1:] - Z[:-1])
+    lost[(lost == 0) & np.any(L < MIN_SEGMENT, axis=0)] = _MISSED
+    tof = L[0] / c[0]
+    for i in range(1, K + 1):  # left to right, like a scalar sum
+        tof = tof + L[i] / c[i]
+    X[:, lost > 0] = np.nan
+    tof[lost > 0] = np.nan
+    return X[1:-1], X[-1], tof, lost

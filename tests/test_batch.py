@@ -1,15 +1,23 @@
 """Batch ToF engine must agree with the scalar solver to solver precision."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from goatfocus import batch
+from goatfocus import batch, goatsolve
 from goatfocus.batch import tof_batch, tof_maps
-from goatfocus.goatsolve import hmfa_tof, solve
+from goatfocus.goatsolve import hmfa_tof, hybrid_rows, solve, tof_rows
 from goatfocus.medium import Point2
 from goatfocus.scenario import load
 
-from cases import MM, homogeneous_medium, proxon_medium, setting3_medium
+from cases import (
+    MM,
+    homogeneous_medium,
+    proxon_medium,
+    setting3_medium,
+    total_reflection_medium,
+)
 
 
 class TestBatchFlatTwoLayer:
@@ -60,6 +68,30 @@ class TestBatchGeneralFallback:
         for i in range(tx.size):
             ref = solve(med, src, Point2(tx[i], tz[i])).tof
             assert got[i] == pytest.approx(ref, rel=1e-15)
+
+
+class TestShootingStage:
+    def test_full_block_holds_the_misses_only(self):
+        # A full block of total-reflection rows from (0, 0), every one
+        # rejected by the row Newton: the stage's scan holds the (rows, 64)
+        # terminal misses, never a (K, rows x 64) array of crossings; K is
+        # 1 here, so such an array would double the misses.
+        med = total_reflection_medium()
+        rows = batch._BLOCK_ROWS
+        rng = np.random.default_rng(0)
+        ends = np.zeros((4, rows))
+        ends[2] = rng.uniform(55 * MM, 65 * MM, rows)
+        ends[3] = rng.uniform(50 * MM, 70 * MM, rows)
+        assert not tof_rows(med, ends.T)[1].any()
+        tracemalloc.start()
+        try:
+            tof = hybrid_rows(med, ends)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        misses = rows * goatsolve._SHOOTING_CANDIDATES * 8
+        assert np.isnan(tof).all()
+        assert misses <= peak < 2 * misses
 
 
 class TestTofMaps:

@@ -381,6 +381,24 @@ class TestCmdCheck:
         assert any(not r["satisfied"] for r in rep["no_total_reflection"])
         assert rep["all_satisfied"] is False
 
+    @pytest.mark.parametrize("scenario,source,focus,layer", [
+        ("setting1", "18,0", "18,10", 1),
+        ("setting2", "18,0", "18,45", 1),
+        ("setting3", "18,0", "18.225,35.5", 2),
+    ])
+    def test_focus_above_the_last_interface(self, capsys, scenario, source,
+                                            focus, layer):
+        # The conditions are judged on the stack down to the focus's
+        # layer; a first-layer focus crosses no interface.
+        code, out, err = run(capsys, "check", "--scenario", scenario,
+                             "--source", source, "--focus", focus)
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        assert rep["solution_found"] is True
+        assert len(rep["no_total_reflection"]) == layer - 1
+        assert len(rep["unique_intersection"]) == layer - 1
+        assert ("bracket" in rep) == (layer > 1)
+
     def test_oscillating_uniqueness(self, capsys):
         code, out, _ = run(capsys, "check", "--scenario", "oscillating")
         assert code == 0
@@ -618,6 +636,17 @@ def _bad_cache(kind, cold, path):
     if kind == "truncated":
         path.write_bytes(cache[:-1000])
         return "homogeneous", "the header gives 32 x 32 x"
+    if kind == "scenario":
+        # The same array and sample rate, the scatterer moved by 3 mm.
+        doc = json.loads(
+            (files("goatfocus") / "fixtures" / "homogeneous.json").read_text())
+        doc["imaging"]["scatterers"][0][0] += 3.0
+        moved = cold / "moved_scatterer.json"
+        moved.write_text(json.dumps(doc))
+        path.write_bytes(cache)
+        return str(moved), (f"cached channels are from "
+                            f"{load('homogeneous').provenance!r}, the "
+                            f"scenario is {load(str(moved)).provenance!r}")
     path.write_bytes(b"P5\n# not channels\n")
     return "homogeneous", "not a channel data file (bad magic b'P5\\n# not')"
 
@@ -641,7 +670,7 @@ class TestCmdBeamform:
                     == (cold_homogeneous / name).read_bytes()), name
 
     @pytest.mark.parametrize("kind", ["elements", "sample_rate", "truncated",
-                                      "magic"])
+                                      "magic", "scenario"])
     def test_bad_cache_exit_5(self, capsys, tmp_path, cold_homogeneous, kind):
         path = tmp_path / "bf_channels.goatcd"
         scenario, tail = _bad_cache(kind, cold_homogeneous, path)

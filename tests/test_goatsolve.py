@@ -26,6 +26,7 @@ from goatfocus.goatsolve import (
     solve_shooting,
     tof_of_path,
 )
+from goatfocus.raytrace import LOST_CAUSES
 
 from cases import (
     MM,
@@ -256,34 +257,40 @@ class TestShootingLostRays:
 
     @staticmethod
     def lose_rays(monkeypatch, lost):
+        """Mark the launches x1 for which ``lost(x1, launched)`` holds lost
+        to total reflection in every trace the shooting stage makes;
+        ``launched`` lists the launches before x1.  Returns the list of
+        (x1, not marked) pairs."""
         import goatfocus.goatsolve as goatsolve
-        real = goatsolve.propagate
+        real = goatsolve.trace_rows
         calls = []
 
-        def propagate(medium, p0, x1, z_stop, *args, **kwargs):
-            if lost(x1, calls):
-                calls.append((x1, False))
-                raise TotalReflectionError("injected loss", ratio=None)
-            calls.append((x1, True))
-            return real(medium, p0, x1, z_stop, *args, **kwargs)
+        def trace_rows(medium, ends, x1):
+            xs, x_end, tof, codes = real(medium, ends, x1)
+            for i, x in enumerate(x1):
+                marked = lost(x, [c[0] for c in calls])
+                if marked:
+                    xs[:, i] = x_end[i] = tof[i] = np.nan
+                    codes[i] = 1 + LOST_CAUSES.index("total_reflection")
+                calls.append((x, not marked))
+            return xs, x_end, tof, codes
 
-        monkeypatch.setattr(goatsolve, "propagate", propagate)
+        monkeypatch.setattr(goatsolve, "trace_rows", trace_rows)
         return calls
 
     @staticmethod
     def three_root_case():
-        from goatfocus.goatsolve import _shooting_scan
+        from goatfocus.goatsolve import _brackets, _ends, _scan_rows
         from goatfocus.medium import SampledC1
         dom = (0.0, 60 * MM)
         xk = np.linspace(dom[0], dom[1], 241)
         zk = 30 * MM + 4 * MM * np.sin(2 * np.pi * xk / (12 * MM))
         med = Medium((1480.0, 1600.0), (SampledC1(xk, zk, dom),), dom)
         p0, pN = Point2(10 * MM, 5 * MM), Point2(50 * MM, 50 * MM)
-        samples, _ = _shooting_scan(med, p0, pN)
-        brackets = [(xa, xb) for (xa, fa), (xb, fb) in zip(samples, samples[1:])
-                    if fa * fb < 0]
-        assert len(brackets) == 3
-        return med, p0, pN, brackets
+        cand, miss, _ = _scan_rows(med, _ends(p0, pN))
+        _, ia, ib = _brackets(miss)
+        assert len(ia) == 3 and np.all(ia != ib)
+        return med, p0, pN, list(zip(cand[ia], cand[ib]))
 
     def test_lost_retry_abandons_only_its_bracket(self, monkeypatch):
         med, p0, pN, brackets = self.three_root_case()
@@ -304,8 +311,8 @@ class TestShootingLostRays:
         # lose that ray in the second bracket only.
         xa, xb = brackets[1]
         calls = self.lose_rays(
-            monkeypatch, lambda x, calls: xa < x < xb and bool(calls)
-            and x == calls[-1][0] + 1e-12)
+            monkeypatch, lambda x, launched: xa < x < xb
+            and any(x == y + 1e-12 for y in launched))
         got = solve_shooting(med, p0, pN)
         assert sum(not ok for _, ok in calls) == 1
         assert (got.tof, got.xs, got.multiple_roots) == \

@@ -66,35 +66,44 @@ def assert_batch_equals_scalar(medium, src, tx, tz):
 
 def test_failed_rows_enter_shooting_once(monkeypatch):
     # Oscillating targets 40-60 mm deep, four of which the row Newton
-    # rejects. Each goes to shooting on the stack it was solved in: no
-    # second chord and no second row Newton (a solve_newton call without
-    # x0; the polish of a shooting root passes one).
+    # rejects. Each block hands its rejected rows to one stage call on the
+    # stack it was solved in: no second chord and no scalar solve.
     rng = np.random.default_rng(0)
     med = oscillating_medium()
     lo, hi = med.domain
     src = Point2(rng.uniform(lo, hi), 0.0)
     tx, tz = rng.uniform(lo, hi, 60), rng.uniform(40 * MM, 60 * MM, 60)
     ends = np.column_stack((np.full((tx.size, 2), (src.x, src.z)), tx, tz))
-    failed = int(np.sum(~tof_rows(med, ends)[1]))
-    assert failed == 4
-    calls = {"chord": 0, "shoot": 0, "newton x0": []}
+    failed = np.flatnonzero(~tof_rows(med, ends)[1])
+    assert failed.size == 4
+    chords, stage = [], []
+    real_chords, real_stage = goatsolve._chord_rows, batch.hybrid_rows
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            if name == "newton x0":
-                calls[name].append(kwargs.get("x0"))
-            else:
-                calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def chord_rows(medium, e):
+        chords.append(e.shape[1])
+        return real_chords(medium, e)
 
-    for name, attr in (("chord", "_chord_rows"), ("shoot", "solve_shooting"),
-                       ("newton x0", "solve_newton")):
-        monkeypatch.setattr(goatsolve, attr,
-                            counting(name, getattr(goatsolve, attr)))
+    def hybrid_rows(medium, e, opts):
+        stage.append(e.T.copy())
+        return real_stage(medium, e, opts)
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("the batch made a scalar solve")
+
+    monkeypatch.setattr(goatsolve, "_chord_rows", chord_rows)
+    monkeypatch.setattr(batch, "hybrid_rows", hybrid_rows)
+    for name in ("solve", "solve_newton", "solve_shooting", "solve_hybrid"):
+        monkeypatch.setattr(goatsolve, name, scalar)
     got = tof_batch(med, src, tx, tz)
-    assert calls["chord"] == 1 and calls["shoot"] == failed
-    assert calls["newton x0"] and all(x0 is not None for x0 in calls["newton x0"])
+    assert chords == [tx.size] and len(stage) == 1
+    assert np.array_equal(stage[0], ends[failed])
+    # Blocks of 16 rows: one call per block with a rejected row, each with
+    # that block's rejected rows.
+    monkeypatch.setattr(batch, "_BLOCK_ROWS", 16)
+    stage.clear()
+    assert _same(tof_batch(med, src, tx, tz), got)
+    assert len(stage) == np.unique(failed // 16).size
+    assert np.array_equal(np.concatenate(stage), ends[failed])
     monkeypatch.undo()
     assert np.sum(np.isfinite(got)) == tx.size - 3  # shooting recovers one
     assert_batch_equals_scalar(med, src, tx, tz)
@@ -146,9 +155,26 @@ def _same(a, b):
 def _medium_and_source(name, seed):
     rng = np.random.default_rng(seed)
     med = {"random": lambda: random_medium(rng), "setting3": setting3_medium,
-           "oscillating": oscillating_medium}[name]()
+           "oscillating": oscillating_medium,
+           "total_reflection": total_reflection_medium}[name]()
     lo, hi = med.domain
+    if name == "total_reflection":
+        # Left of the domain, where launches toward its left part are
+        # totally reflected: the rows of many targets reach the stage.
+        lo, hi = lo - 28 * MM, lo - 18 * MM
     return rng, med, Point2(rng.uniform(lo, hi), rng.uniform(0.0, 5 * MM))
+
+
+def _stage_case(name, seed, per_layer):
+    """:func:`_medium_and_source`'s case with targets in every layer; on
+    oscillating, whose random rows rarely reach the shooting stage, the
+    source and focus of a pair that ends in the hybrid stage instead."""
+    rng, med, src = _medium_and_source(name, seed)
+    tx, tz = targets_in_every_layer(rng, med, per_layer)
+    if name == "oscillating":
+        src = Point2(6.5657 * MM, 0.0)
+        tx, tz = np.append(tx, 39.8763 * MM), np.append(tz, 46.131 * MM)
+    return rng, med, src, tx, tz
 
 
 @SETTINGS
@@ -176,11 +202,11 @@ def test_rows_are_independent(name, seed):
 
 
 @SETTINGS
-@given(st.sampled_from(["random", "setting3", "oscillating"]),
+@given(st.sampled_from(["random", "setting3", "oscillating",
+                        "total_reflection"]),
        st.integers(0, 2**32 - 1))
 def test_batch_independent_of_block_size(name, seed):
-    rng, med, src = _medium_and_source(name, seed)
-    tx, tz = targets_in_every_layer(rng, med, per_layer=9)
+    rng, med, src, tx, tz = _stage_case(name, seed, per_layer=9)
     want = tof_batch(med, src, tx, tz)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(batch, "_BLOCK_ROWS", 7)
@@ -188,17 +214,17 @@ def test_batch_independent_of_block_size(name, seed):
 
 
 @SETTINGS
-@given(st.sampled_from(["random", "setting3", "oscillating"]),
+@given(st.sampled_from(["random", "setting3", "oscillating",
+                        "total_reflection"]),
        st.integers(0, 2**32 - 1))
 def test_maps_equal_stacked_batches(name, seed):
-    # Blocks of 7 rows straddle sources, so row-Newton calls mix them; more
-    # workers than cores and a short switch interval interleave the blocks
-    # as often as possible.
-    rng, med, src = _medium_and_source(name, seed)
+    # Blocks of 7 rows straddle sources, so row-Newton calls and stage calls
+    # mix them; more workers than cores and a short switch interval
+    # interleave the blocks as often as possible.
+    rng, med, src, tx, tz = _stage_case(name, seed, per_layer=3)
     lo, hi = med.domain
     sources = [src] + [Point2(rng.uniform(lo, hi), rng.uniform(0.0, 5 * MM))
                        for _ in range(3)]
-    tx, tz = targets_in_every_layer(rng, med)
     want = np.stack([tof_batch(med, p, tx, tz) for p in sources])
     switch = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as mp:
