@@ -1,11 +1,12 @@
 """Existence/uniqueness condition checkers, travel-time stationarity tools,
 constant-ToF level curves, and a dynamic-programming Fermat oracle.
 
-Everything here is built on direct geometry (segment lengths, boundary
-evaluations) rather than on the solver's residual machinery, so these
-operations double as independent cross-checks on solver output.  The Fermat
-oracle in particular minimizes the travel-time sum by exhaustive search plus
-coordinate refinement and never touches Snell's law.
+Everything here except :func:`bracket_scan` is built on direct geometry
+(segment lengths, boundary evaluations) rather than on the solver's residual
+machinery, so these operations double as independent cross-checks on solver
+output.  :func:`bracket_scan` is the shooting stage's own scan of launched
+rays.  The Fermat oracle minimizes the travel-time sum by exhaustive search
+plus coordinate refinement and never touches Snell's law.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .medium import Medium, Point2, boundary_eval, boundary_slope
 from .raytrace import MIN_SEGMENT
 
 _UNIQUE_SAMPLES = 256
+_SCAN_SAMPLES = 512  # uniqueness_scan's lateral samples
 _DENOM_FLOOR = 1e-14  # normalized units; the equivalence theorem's proviso
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Elements per Fermat-oracle DP block: a worker's two float64 buffers of
@@ -82,23 +84,24 @@ def check_no_total_reflection(medium: Medium, path_points) -> list[ConditionRepo
 
 
 def check_unique_intersection(medium: Medium, boundary_index: int,
-                              pn: Point2, p_next: Point2,
-                              slope_k: float | None) -> ConditionReport:
-    """Does the ray leaving interface ``boundary_index`` at ``pn`` with slope
-    ``slope_k`` stay clear of that interface until ``p_next``?
+                              pn: Point2, p_next: Point2) -> ConditionReport:
+    """Does the straight segment ``pn`` -> ``p_next``, leaving interface
+    ``boundary_index`` at ``pn``, stay clear of that interface?
 
-    A vertical ray (``slope_k`` None) can never re-intersect a boundary whose
-    depth is a function of the lateral coordinate.  Otherwise the expression
+    A vertical segment (lateral extent below ``MIN_SEGMENT``) can never
+    re-intersect a boundary whose depth is a function of the lateral
+    coordinate.  Otherwise, with k the segment's slope, the expression
     b(x) - b(x_n) - k (x - x_n) must keep one sign strictly between the two
     crossings; it is sampled at 256 interior points and a sign flip yields
     the offending lateral position as witness.
     """
     b = medium.boundaries[boundary_index - 1]
-    if slope_k is None or abs(p_next.x - pn.x) < MIN_SEGMENT:
+    dx = p_next.x - pn.x
+    if abs(dx) < MIN_SEGMENT:
         return ConditionReport("unique_intersection", boundary_index, True)
     xs = np.linspace(pn.x, p_next.x, _UNIQUE_SAMPLES + 2)[1:-1]
     expr = np.asarray(b._eval(xs), dtype=float) - b._eval(pn.x) \
-        - slope_k * (xs - pn.x)
+        - (p_next.z - pn.z) / dx * (xs - pn.x)
     signs = np.sign(expr)
     flip = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     if flip.size == 0 and not np.any(signs == 0):
@@ -185,8 +188,7 @@ def _cleared_slope_condition(medium: Medium, p0: Point2, p2: Point2, x):
     return b._slope(x) * den - num
 
 
-def uniqueness_scan(medium: Medium, p0: Point2, pN: Point2,
-                    samples: int = 512) -> ConditionReport:
+def uniqueness_scan(medium: Medium, p0: Point2, pN: Point2) -> ConditionReport:
     """Count solutions of the slope condition along the single interface of a
     2-layer medium by scanning for sign changes; exactly one means the
     two-point problem has a unique crossing.
@@ -198,7 +200,7 @@ def uniqueness_scan(medium: Medium, p0: Point2, pN: Point2,
         raise ValueError("uniqueness scan is defined for 2-layer media only")
     lo, hi = medium.domain
     pad = 1e-9 * (hi - lo)
-    xg = np.linspace(lo + pad, hi - pad, samples)
+    xg = np.linspace(lo + pad, hi - pad, _SCAN_SAMPLES)
     vals = np.array([_cleared_slope_condition(medium, p0, pN, float(x))
                      for x in xg])
     signs = np.sign(vals)

@@ -5,7 +5,7 @@ every target of a medium whose layers share one speed, get the exact
 straight chord.  The other rows are grouped by target layer and cut into
 blocks of ``_BLOCK_ROWS``, which may mix sources; each block is one
 :func:`goatsolve.tof_rows` call, which re-verifies every row as the scalar
-solver does, and the block's rows that fail go together to one
+solver does, and the block's rows that fail always go together to one
 :func:`goatsolve.hybrid_rows` call on the stack they were solved in.  The
 scalar solver runs the same two stages on one row, so batch and scalar
 agree bit for bit; a row no stage verifies is NaN.
@@ -66,7 +66,7 @@ def _solve_pairs(medium: Medium, sources, tx, tz, opts: SolverOptions,
         ends[0], ends[1] = sx[s], sz[s]
         ends[2], ends[3] = flat_x[t], flat_z[t]
         out[s, t], ok = tof_rows(stack, ends.T, opts)
-        if opts.bisection_fallback and not np.all(ok):
+        if not np.all(ok):
             r = np.flatnonzero(~ok)
             out[s[r], t[r]] = hybrid_rows(stack, ends[:, r], opts)[1]
 

@@ -179,9 +179,9 @@ def cmd_check(args) -> int:
     # The conditions of the stack down to the focus's layer, which solve
     # and oracle work in; a first-layer focus crosses no interface.
     med = scn.medium.truncated(scn.medium.layer_of(pN))
-    out = {}
+    groups = {}  # JSON key -> a report or a list of reports, in CSV order
     if med.num_layers > 1:
-        out["bracket"] = _report(bracket_scan(med, p0, pN))
+        groups["bracket"] = bracket_scan(med, p0, pN)
 
     try:
         chord = initial_guess_straight(med, p0, pN)
@@ -198,43 +198,28 @@ def cmd_check(args) -> int:
 
     pts = sol.path.points if sol is not None else chord_pts
     if pts is not None:
-        out["no_total_reflection"] = [
-            _report(r) for r in check_no_total_reflection(med, list(pts))]
-        unique = []
-        for n in range(1, med.num_layers):
-            a, b = pts[n], pts[n + 1]
-            k = None if abs(b.x - a.x) < 1e-12 else (b.z - a.z) / (b.x - a.x)
-            unique.append(_report(check_unique_intersection(med, n, a, b, k)))
-        out["unique_intersection"] = unique
+        groups["no_total_reflection"] = check_no_total_reflection(med, list(pts))
+        groups["unique_intersection"] = [
+            check_unique_intersection(med, n, pts[n], pts[n + 1])
+            for n in range(1, med.num_layers)]
     if med.num_layers == 2:
-        out["uniqueness_scan"] = _report(uniqueness_scan(med, p0, pN))
+        groups["uniqueness_scan"] = uniqueness_scan(med, p0, pN)
+    out, reports = {}, []
+    for key, group in groups.items():
+        dicts = [_report(r) for r in (group if isinstance(group, list) else [group])]
+        out[key] = dicts if isinstance(group, list) else dicts[0]
+        reports += dicts
     out["solution_found"] = sol is not None
-
-    def ok(v):
-        if isinstance(v, dict):
-            return v.get("satisfied", True)
-        return all(ok(i) for i in v)
-
-    out["all_satisfied"] = all(
-        ok(v) for k, v in out.items()
-        if k not in ("solution_found",)) and sol is not None
+    out["all_satisfied"] = sol is not None and all(d["satisfied"] for d in reports)
     if args.out:
         rows = [f"# {scn.provenance}", "condition,boundary,satisfied,margin,witness"]
-
-        def flatten(v):
-            if isinstance(v, dict) and "condition" in v:
-                wit = json.dumps(v["witness"]) if v["witness"] is not None else ""
-                rows.append(f"{v['condition']},{v['boundary']},"
-                            f"{str(v['satisfied']).lower()},{v['margin']!r},"
-                            f"\"{wit}\"")
-            elif isinstance(v, list):
-                for i in v:
-                    flatten(i)
-
-        for key in ("bracket", "no_total_reflection", "unique_intersection",
-                    "uniqueness_scan"):
-            if key in out:
-                flatten(out[key])
+        for d in reports:
+            # The witness is always quoted, its own quotes doubled (RFC 4180).
+            wit = "" if d["witness"] is None else json.dumps(d["witness"])
+            wit = wit.replace('"', '""')
+            rows.append(f"{d['condition']},{d['boundary']},"
+                        f"{str(d['satisfied']).lower()},{d['margin']!r},"
+                        f"\"{wit}\"")
         with open(args.out, "w") as fh:
             fh.write("\n".join(rows) + "\n")
     _emit(out)
@@ -296,6 +281,9 @@ def cmd_beamform(args) -> int:
     scn = load(args.scenario)
     if scn.array is None or scn.pulse is None or scn.imaging is None:
         raise ScenarioError("beamforming needs array, pulse and imaging blocks")
+    if not (math.isfinite(args.roi_size) and args.roi_size > 0):
+        raise ScenarioError(f"--roi-size must be positive and finite, got "
+                            f"{args.roi_size}")
     prefix = args.out
     ch_path = f"{prefix}_channels.goatcd"
     M, fs = len(scn.array), scn.imaging.sample_rate

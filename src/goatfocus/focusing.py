@@ -40,7 +40,6 @@ class ElementArray:
     """Transducer elements in the imaging plane, typically on z = 0."""
 
     element_positions: tuple[Point2, ...]
-    pitch: float = 0.0  # informational
 
     def __post_init__(self):
         if len(self.element_positions) < 2:
@@ -69,7 +68,7 @@ def linear_array(num_elements: int, pitch: float, center_x: float = 0.0,
     """Evenly pitched elements centered on ``center_x``."""
     offs = (np.arange(num_elements) - (num_elements - 1) / 2.0) * pitch
     return ElementArray(tuple(Point2(float(center_x + o), float(z))
-                              for o in offs), pitch)
+                              for o in offs))
 
 
 @dataclass(frozen=True)

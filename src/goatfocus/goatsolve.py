@@ -6,9 +6,9 @@ heights, tangent slopes and both angle sines are explicit functions of those
 coordinates, so Snell's law at each interface becomes one residual per
 interface that couples only neighboring crossings.  The resulting system has
 a tridiagonal Jacobian and is solved by damped Newton from the straight-ray
-guess, with a propagation-based shooting fallback.  After convergence the
-full variable set is reconstructed from the crossings alone and every
-equation group is re-verified; nothing is trusted from solver state.
+guess, then by propagation-based shooting wherever Newton fails.  After
+convergence the full variable set is reconstructed from the crossings alone
+and every equation group is re-verified; nothing is trusted from solver state.
 
 The Newton works on rows, one two-point problem each, with a Thomas sweep
 per row, and so does the shooting stage for the rows it rejects: every
@@ -47,7 +47,6 @@ class SolverOptions:
     tol_residual: float = 1e-12
     max_newton_iters: int = 25
     max_backtracks: int = 8
-    bisection_fallback: bool = True
 
     def __post_init__(self):
         if not self.tol_residual > 0:
@@ -297,7 +296,7 @@ def _verify_rows(medium: Medium, ends, xs, tol: float):
 def tof_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
     """Times of flight through ``medium`` for each row of ``ends`` =
     (x0, z0, xN, zN), every focus below the last interface: row Newton from
-    the straight chords, then the checks of :func:`_verify_and_build`.
+    the straight chords, then the checks of :func:`_checked_tofs`.
     Returns (tof, ok); rows that fail a check carry NaN and ok False.
     The row Newton works on the (4, rows) transpose, so the transpose of a
     C-contiguous float (4, rows) array is used without a copy.
@@ -353,15 +352,14 @@ def _verify_and_build(medium, p0, pN, xs, iterations, method, opts,
 
 
 def solve_newton(medium: Medium, p0: Point2, pN: Point2,
-                 opts: SolverOptions = SolverOptions(),
-                 x0: np.ndarray | None = None) -> GoatSolution:
+                 opts: SolverOptions = SolverOptions()) -> GoatSolution:
     """Damped Newton on the reduced Snell residuals.
 
-    Starts from the straight-ray crossings (or ``x0``); each step is halved
-    while the residual norm fails to decrease or a crossing would leave the
-    lateral domain.  Raises NonConvergenceError carrying the best iterate.
+    Starts from the straight-ray crossings; each step is halved while the
+    residual norm fails to decrease or a crossing would leave the lateral
+    domain.  Raises NonConvergenceError carrying the best iterate.
     """
-    xs = initial_guess_straight(medium, p0, pN) if x0 is None else x0
+    xs = initial_guess_straight(medium, p0, pN)
     xs, iterations = _newton_rows(medium, _ends(p0, pN),
                                   np.reshape(xs, (-1, 1)), opts)
     return _verify_and_build(medium, p0, pN, xs[:, 0], int(iterations[0]),
@@ -529,8 +527,8 @@ def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
 
 def solve(medium: Medium, p0: Point2, pN: Point2,
           opts: SolverOptions = SolverOptions()) -> GoatSolution:
-    """Hybrid driver: Newton from the straight-ray guess, then, if that
-    fails and ``opts.bisection_fallback`` is set, :func:`solve_hybrid`.
+    """Hybrid driver: Newton from the straight-ray guess, then
+    :func:`solve_hybrid` whenever that fails.
 
     Focus points that lie above the last interface are handled by truncating
     the stack to the layers above the focus; a focus inside the first layer
@@ -550,8 +548,7 @@ def solve(medium: Medium, p0: Point2, pN: Point2,
         return solve_newton(sub, p0, pN, opts)
     except (NonConvergenceError, NoIntersectionError, DegenerateSegmentError,
             TotalReflectionError):
-        if not opts.bisection_fallback:
-            raise
+        pass
     return solve_hybrid(sub, p0, pN, opts)
 
 

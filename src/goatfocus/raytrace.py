@@ -39,10 +39,10 @@ _REFLECTED, _MISSED = 1, 2
 
 @dataclass(frozen=True)
 class RayPath:
-    """A fully propagated ray: crossing points plus per-interface angles.
+    """The path of a verified two-point solution, built by :mod:`goatsolve`.
 
-    ``points`` holds the launch point, one point per crossed boundary and
-    the terminal point, so ``len(points) == len(incidence_angles) + 2``.
+    ``points`` holds the source, one point per crossed boundary and the
+    focus, so ``len(points) == len(incidence_angles) + 2``.
     Angles are signed (sign of the tangential component), in radians.
     """
 

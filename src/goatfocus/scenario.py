@@ -96,12 +96,6 @@ def _count(v, where) -> int:
     return v
 
 
-def _flag(v, where) -> bool:
-    if not isinstance(v, bool):
-        raise ScenarioError(f"{where}: expected true or false, got {v!r}")
-    return v
-
-
 def _point(v, scale, where) -> Point2:
     if not (isinstance(v, list) and len(v) == 2):
         raise ScenarioError(f"{where}: expected [x, z]")
@@ -253,7 +247,7 @@ def loads(text: str | bytes) -> Scenario:
     if "solver" in doc:
         spec = doc["solver"]
         fields = {"tol_residual": _number, "max_newton_iters": _count,
-                  "max_backtracks": _count, "bisection_fallback": _flag}
+                  "max_backtracks": _count}
         _require_keys(spec, set(), fields, "solver")
         try:
             solver = SolverOptions(**{k: fields[k](v, f"solver.{k}")

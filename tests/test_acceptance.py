@@ -265,8 +265,7 @@ class TestAcceptance:
         b = med_os.boundaries[0]
         pn = Point2(6 * MM, b._eval(6 * MM))
         rep_a2 = check_unique_intersection(
-            med_os, 1, pn, Point2(25 * MM, pn.z + 0.1 * (25 * MM - 6 * MM)),
-            slope_k=0.1)
+            med_os, 1, pn, Point2(25 * MM, pn.z + 0.1 * (25 * MM - 6 * MM)))
         os_ok = not rep_a2.satisfied and rep_a2.witness is not None
         scan_os = uniqueness_scan(med_os, Point2(20 * MM, 5 * MM),
                                   Point2(40 * MM, 55 * MM))
@@ -282,10 +281,8 @@ class TestAcceptance:
                               check_no_total_reflection(med, sol.path.points))
                 qs = sol.path.points
                 for n in range(1, med.num_layers):
-                    a, c = qs[n], qs[n + 1]
-                    k = None if abs(c.x - a.x) < 1e-12 else \
-                        (c.z - a.z) / (c.x - a.x)
-                    all_ok &= check_unique_intersection(med, n, a, c, k).satisfied
+                    all_ok &= check_unique_intersection(
+                        med, n, qs[n], qs[n + 1]).satisfied
                 if med.num_layers == 2:
                     all_ok &= uniqueness_scan(med, p0, TABLE2_FOCUS).satisfied
         report(7, "condition checkers", tr_ok and os_ok and all_ok, t0,

@@ -85,14 +85,13 @@ class TestUniqueIntersection:
     def test_flat_boundary_always_unique(self):
         med = flat_two_layer()
         rep = check_unique_intersection(
-            med, 1, Point2(0, 30 * MM), Point2(20 * MM, 60 * MM), slope_k=1.5)
+            med, 1, Point2(0, 30 * MM), Point2(20 * MM, 60 * MM))
         assert rep.satisfied
 
     def test_vertical_ray_unique(self):
         med = oscillating_medium()
         pn = Point2(6 * MM, med.boundaries[0]._eval(6 * MM))
-        rep = check_unique_intersection(med, 1, pn, Point2(6 * MM, 60 * MM),
-                                        slope_k=None)
+        rep = check_unique_intersection(med, 1, pn, Point2(6 * MM, 60 * MM))
         assert rep.satisfied
 
     def test_grazing_ray_recrosses_oscillating_boundary(self):
@@ -102,7 +101,7 @@ class TestUniqueIntersection:
         pn = Point2(x_n, b._eval(x_n))
         k = 0.1
         p_next = Point2(25 * MM, pn.z + k * (25 * MM - x_n))
-        rep = check_unique_intersection(med, 1, pn, p_next, slope_k=k)
+        rep = check_unique_intersection(med, 1, pn, p_next)
         assert not rep.satisfied
         assert rep.witness is not None
         # Verify by explicit second-root search: the ray/boundary gap changes

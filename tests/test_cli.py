@@ -2,6 +2,7 @@
 artifact determinism)."""
 
 import ast
+import csv
 import inspect
 import json
 import os
@@ -238,21 +239,20 @@ class TestCmdSolve:
         assert code == 2
         assert "ScenarioError" in err
 
-    def test_nonconvergence_exit_3(self, capsys, tmp_path):
-        # Same blocked geometry, but with the shooting fallback disabled the
-        # failure surfaces as plain non-convergence.
+    def test_blocked_geometry_total_reflection_exit_4(self, capsys, tmp_path):
+        # Newton fails on this blocked geometry, and the shooting stage,
+        # which always runs, finds every launch candidate totally reflected.
         doc = json.loads(json.dumps(MINIMAL))
         doc["medium"]["speeds"] = [1480.0, 2200.0]
         doc["medium"]["domain"] = [28.0, 50.0]
         doc["medium"]["boundaries"] = [{"kind": "constant", "depth": 30.0}]
         doc["sources"] = [[0.0, 0.0]]
         doc["foci"] = [[60.0, 60.0]]
-        doc["solver"] = {"bisection_fallback": False}
         path = tmp_path / "blocked.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "solve", "--scenario", str(path))
-        assert code == 3
-        assert "NonConvergenceError" in err
+        code, out, err = run(capsys, "solve", "--scenario", str(path))
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "TotalReflectionError"
 
     def test_io_error_exit_5(self, capsys):
         code, _, err = run(capsys, "delays", "--scenario", "setting1",
@@ -406,16 +406,24 @@ class TestCmdCheck:
         assert rep["uniqueness_scan"]["satisfied"] is False
         assert rep["uniqueness_scan"]["margin"] > 1
 
-    def test_csv_export(self, capsys, tmp_path):
+    @pytest.mark.parametrize("pair", [
+        pytest.param(("setting1", "--source", "2.3,5", "--focus", "31.9,77.5"),
+                     id="setting1"),
+        # The bracket witness is a JSON object, so it holds quotes.
+        pytest.param(("total_reflection",), id="total_reflection"),
+    ])
+    def test_csv_export(self, capsys, tmp_path, pair):
         out = tmp_path / "report.csv"
-        code, _, _ = run(capsys, "check", "--scenario", "setting1",
-                         "--source", "2.3,5", "--focus", "31.9,77.5",
-                         "--out", str(out))
+        code, stdout, _ = run(capsys, "check", "--scenario", *pair,
+                              "--out", str(out))
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[1] == "condition,boundary,satisfied,margin,witness"
-        assert any(l.startswith("bracket_exists,") for l in lines)
         assert any(l.startswith("uniqueness_scan,") for l in lines)
+        rows = list(csv.reader(lines[1:]))
+        assert all(len(r) == 5 for r in rows), rows
+        (bracket,) = [r for r in rows if r[0] == "bracket_exists"]
+        assert json.loads(bracket[4]) == json.loads(stdout)["bracket"]["witness"]
 
 
 class TestCmdLevelset:
@@ -588,9 +596,6 @@ class TestNonFiniteInput:
         pytest.param("solver", {"tol_residual": None},
                      "solver.tol_residual: expected a number, got None",
                      id="null-tolerance"),
-        pytest.param("solver", {"bisection_fallback": "no"},
-                     "solver.bisection_fallback: expected true or false, "
-                     "got 'no'", id="string-fallback"),
         pytest.param("imaging", dict(_imaging(), sample_rate_hz=-4e7),
                      "imaging.sample_rate_hz: -40000000.0 Hz is not above "
                      "0.0 Hz", id="negative-sample-rate"),
@@ -599,6 +604,11 @@ class TestNonFiniteInput:
                             "imaging": dict(_imaging(), sample_rate_hz=1e6)},
                      "imaging.sample_rate_hz: 1000000.0 Hz is not above "
                      "16000000.0 Hz", id="sample-rate-below-pulse-band"),
+        # The shooting stage always runs; the strict schema rejects the
+        # retired switch rather than ignoring it.
+        pytest.param("solver", {"bisection_fallback": True},
+                     "solver: unknown keys ['bisection_fallback']",
+                     id="retired-fallback"),
     ])
     def test_scenario_document_exit_2(self, capsys, tmp_path, field, value,
                                       message):
@@ -682,6 +692,19 @@ class TestCmdBeamform:
         assert report["message"].startswith(f"{path}: ")
         assert tail in report["message"]
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("size", ["0", "-4", "nan", "inf"])
+    def test_bad_roi_size_exit_2(self, capsys, tmp_path, size):
+        # Rejected before any synthesis, so no channel cache is written.
+        code, out, err = run(capsys, "beamform", "--scenario", "homogeneous",
+                             "--engine", "goat", "--out", str(tmp_path / "bf"),
+                             "--roi-size", size)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": "ScenarioError",
+                                  "message": "--roi-size must be positive and "
+                                             f"finite, got {float(size)}"},
+                                 sort_keys=True) + "\n"
+        assert list(tmp_path.glob("*_channels.goatcd")) == []
 
     def test_homogeneous_engines_byte_identical(self, capsys, tmp_path):
         prefix = str(tmp_path / "bf")

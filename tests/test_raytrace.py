@@ -266,9 +266,8 @@ class TestPropagate:
         def unique(med, p0, x1, z_stop):
             xs, x_end, _, _ = trace(med, p0, x1, z_stop)
             pts = crossing_points(med, p0, xs, x_end, z_stop)
-            return [check_unique_intersection(
-                med, n, a, b, (b.z - a.z) / (b.x - a.x)).satisfied
-                for n, (a, b) in enumerate(zip(pts[1:], pts[2:]), start=1)]
+            return [check_unique_intersection(med, n, a, b).satisfied
+                    for n, (a, b) in enumerate(zip(pts[1:], pts[2:]), start=1)]
 
         assert unique(med, Point2(2 * MM, 2 * MM), 25 * MM, 55 * MM) == [False]
         # A benign geometry reports nothing.
