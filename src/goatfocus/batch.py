@@ -4,11 +4,11 @@ Every (source, target) pair is one row.  Targets in the first layer, and
 every target of a medium whose layers share one speed, get the exact
 straight chord.  The other rows are grouped by target layer and cut into
 blocks of ``_BLOCK_ROWS``, which may mix sources; each block is one
-:func:`goatsolve.tof_rows` call, which re-verifies every row as the scalar
-solver does, and the block's rows that fail always go together to one
-:func:`goatsolve.hybrid_rows` call on the stack they were solved in.  The
-scalar solver runs the same two stages on one row, so batch and scalar
-agree bit for bit; a row no stage verifies is NaN.
+:func:`goatsolve.solve_rows` call on the stack down to the targets' layer,
+the one chain of the solver's two stages: row Newton, then shooting for the
+rows Newton rejects, all re-verified.  The scalar solver runs one row of
+the same call, so batch and scalar agree bit for bit; a row no stage
+verifies is NaN.
 Blocks are the unit of parallel work: a row's ToF does not depend on the
 other rows of its block, so the result does not depend on the block size or
 on the number of workers.
@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .goatsolve import SolverOptions, hybrid_rows, tof_rows
+from .goatsolve import SolverOptions, solve_rows
 from .medium import Medium, Point2
 
 # Rows per row-Newton call; bounds the size of its working arrays.
@@ -59,16 +59,10 @@ def _solve_pairs(medium: Medium, sources, tx, tz, opts: SolverOptions,
         stack, idx, start, stop = block
         s, t = np.divmod(np.arange(start, stop), idx.size)
         t = idx[t]
-        # tof_rows takes (rows, 4) and works on its (4, rows) transpose,
-        # so passing the transpose of a C-contiguous (4, rows) array spares
-        # it a copy.
         ends = np.empty((4, s.size))  # x0, z0, xN, zN
         ends[0], ends[1] = sx[s], sz[s]
         ends[2], ends[3] = flat_x[t], flat_z[t]
-        out[s, t], ok = tof_rows(stack, ends.T, opts)
-        if not np.all(ok):
-            r = np.flatnonzero(~ok)
-            out[s[r], t[r]] = hybrid_rows(stack, ends[:, r], opts)[1]
+        out[s, t] = solve_rows(stack, ends, opts)[1]
 
     if len(blocks) > 1:
         # Even one worker runs in a pool thread: glibc hands the freed top of

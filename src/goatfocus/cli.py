@@ -408,6 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse reads a value such as "-5,30" as an option, so each point
+    # option is bound to the argument after it, as in "--focus=-5,30".
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--source", "--focus", "--seed"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         if args.threads < 1:

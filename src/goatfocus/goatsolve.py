@@ -13,12 +13,11 @@ and every equation group is re-verified; nothing is trusted from solver state.
 The Newton works on rows, one two-point problem each, with a Thomas sweep
 per row, and so does the shooting stage for the rows it rejects: every
 row's candidate rays are traced together and every bracket is refined
-under masks.  A single solve is the one-row case of both, so
-:func:`solve` and the batched :func:`tof_rows` and :func:`hybrid_rows`
-share one implementation.  The arrays are interface-major: endpoints are
-(4, rows), crossings and residuals (K, rows) for K interfaces, segments
-(K+1, rows), so each interface is one contiguous vector however few
-interfaces there are.
+under masks.  :func:`solve_rows` is the one chain of the two stages: the
+batch calls it on blocks of rows and :func:`solve` on one row.  The arrays
+are interface-major: endpoints are (4, rows), crossings and residuals
+(K, rows) for K interfaces, segments (K+1, rows), so each interface is one
+contiguous vector however few interfaces there are.
 """
 
 from __future__ import annotations
@@ -293,19 +292,6 @@ def _verify_rows(medium: Medium, ends, xs, tol: float):
     return failed, chain, implied, tof
 
 
-def tof_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
-    """Times of flight through ``medium`` for each row of ``ends`` =
-    (x0, z0, xN, zN), every focus below the last interface: row Newton from
-    the straight chords, then the checks of :func:`_checked_tofs`.
-    Returns (tof, ok); rows that fail a check carry NaN and ok False.
-    The row Newton works on the (4, rows) transpose, so the transpose of a
-    C-contiguous float (4, rows) array is used without a copy.
-    """
-    ends = np.ascontiguousarray(np.transpose(ends), dtype=float)
-    xs, _ = _newton_rows(medium, ends, _chord_rows(medium, ends), opts)
-    return _checked_tofs(medium, ends, xs, opts)
-
-
 def _checked_tofs(medium: Medium, ends, xs, opts: SolverOptions):
     """(tof, ok) of the crossings ``xs`` (K, rows) between ``ends``
     (4, rows): ok where every check of :func:`_verify_rows` passes, and NaN
@@ -525,14 +511,48 @@ def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
                              "shooting", opts, bool(multiple[0]))
 
 
+def solve_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
+    """The two stages of the solver on every row of ``ends`` = (x0, z0, xN,
+    zN), shape (4, rows), each focus below the last interface: row Newton
+    from the straight chords, then, for the rows it rejects,
+    :func:`_shoot_rows` and a row Newton polish of the shot crossings.  All
+    are re-verified by :func:`_checked_tofs`; a rejected row keeps the
+    polished crossings if they pass every check, else the shot ones if those
+    pass, else NaN.
+
+    Returns (xs, tof, iterations, rejected, shot): the kept crossings
+    (K, rows) and times of flight; the Newton iterations, or for a rejected
+    row the shot's ray evaluations plus, where the polish is kept, its
+    Newton iterations; the mask of rows the Newton stage rejected; and the
+    :func:`_shoot_rows` result for those rows, or None if there are none.
+    """
+    xs, iterations = _newton_rows(medium, ends, _chord_rows(medium, ends), opts)
+    tof, ok = _checked_tofs(medium, ends, xs, opts)
+    rejected = ~ok
+    shot = None
+    r = np.flatnonzero(rejected)
+    if r.size:
+        e = ends[:, r]
+        shot = _shoot_rows(medium, e)
+        polished, polish_its = _newton_rows(medium, e, shot[0], opts)
+        tof_pol, ok_pol = _checked_tofs(medium, e, polished, opts)
+        tof_shot, ok_shot = _checked_tofs(medium, e, shot[0], opts)
+        xs[:, r] = np.where(ok_pol, polished, np.where(ok_shot, shot[0], np.nan))
+        tof[r] = np.where(ok_pol, tof_pol, tof_shot)
+        iterations[r] = shot[1] + np.where(ok_pol, polish_its, 0)
+    return xs, tof, iterations, rejected, shot
+
+
 def solve(medium: Medium, p0: Point2, pN: Point2,
           opts: SolverOptions = SolverOptions()) -> GoatSolution:
-    """Hybrid driver: Newton from the straight-ray guess, then
-    :func:`solve_hybrid` whenever that fails.
+    """One row of :func:`solve_rows` on the stack down to pN's layer.
 
-    Focus points that lie above the last interface are handled by truncating
-    the stack to the layers above the focus; a focus inside the first layer
-    reduces to the straight single-layer ray.
+    A row the Newton stage verifies is method "newton", else "hybrid".  A
+    hybrid row raises its shot crossings' failed check when neither they
+    nor their polish pass, and NoBracketError for a scan without a root, or
+    TotalReflectionError if the scan's only lost rays are totally
+    reflected.  A focus inside the first layer reduces to the straight
+    single-layer ray.
     """
     layer = medium.layer_of(pN)
     if layer == 1:
@@ -543,53 +563,20 @@ def solve(medium: Medium, p0: Point2, pN: Point2,
         path = RayPath((p0, pN), (), (), (), (tof,), tof)
         return GoatSolution((), path, tof, 0, 0.0, "newton")
     sub = medium.truncated(layer)
-
-    try:
-        return solve_newton(sub, p0, pN, opts)
-    except (NonConvergenceError, NoIntersectionError, DegenerateSegmentError,
-            TotalReflectionError):
-        pass
-    return solve_hybrid(sub, p0, pN, opts)
-
-
-def hybrid_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
-    """The stage for rows the row Newton rejects, ``ends`` being (4, rows):
-    :func:`_shoot_rows`, then a row Newton polish of the shot crossings,
-    both re-verified as in :func:`tof_rows`.  A row keeps the polished
-    crossings if they pass every check, else the shot ones if those pass,
-    else NaN.
-
-    Returns (xs, tof, iterations, shot): the kept crossings (K, rows) and
-    times of flight; the shot's ray evaluations plus, where the polish is
-    kept, its Newton iterations; and the :func:`_shoot_rows` result.
-    """
-    shot = _shoot_rows(medium, ends)
-    polished, iterations = _newton_rows(medium, ends, shot[0], opts)
-    tof_pol, ok_pol = _checked_tofs(medium, ends, polished, opts)
-    tof_shot, ok_shot = _checked_tofs(medium, ends, shot[0], opts)
-    xs = np.where(ok_pol, polished, np.where(ok_shot, shot[0], np.nan))
-    tof = np.where(ok_pol, tof_pol, tof_shot)
-    return xs, tof, shot[1] + np.where(ok_pol, iterations, 0), shot
-
-
-def solve_hybrid(medium: Medium, p0: Point2, pN: Point2,
-                 opts: SolverOptions = SolverOptions()) -> GoatSolution:
-    """:func:`solve`'s stage after a failed Newton, on the stack down to
-    pN's layer: the one-row case of :func:`hybrid_rows`.  Raises the shot
-    crossings' failed check when neither they nor their polish pass, and
-    TotalReflectionError for a scan without a root whose only lost rays
-    are totally reflected."""
-    xs, _, iterations, (shot, _, multiple, causes) = hybrid_rows(
-        medium, _ends(p0, pN), opts)
-    if np.isnan(shot[0, 0]):
+    xs, _, iterations, rejected, shot = solve_rows(sub, _ends(p0, pN), opts)
+    if not rejected[0]:
+        return _verify_and_build(sub, p0, pN, xs[:, 0], int(iterations[0]),
+                                 "newton", opts)
+    shot_xs, _, multiple, causes = shot
+    if np.isnan(shot_xs[0, 0]):
         exc = _no_bracket(causes[:, 0])
         if list(exc.causes) == ["total_reflection"]:
             raise TotalReflectionError(
                 "every launch candidate is totally reflected; no transmitted "
                 "path reaches the focus", ratio=None) from exc
         raise exc
-    xs = shot if np.isnan(xs[0, 0]) else xs
-    return _verify_and_build(medium, p0, pN, xs[:, 0], int(iterations[0]),
+    xs = shot_xs if np.isnan(xs[0, 0]) else xs
+    return _verify_and_build(sub, p0, pN, xs[:, 0], int(iterations[0]),
                              "hybrid", opts, bool(multiple[0]))
 
 

@@ -229,9 +229,9 @@ def _das_sum(channels: ChannelDataSet, idx_maps,
     ``k = floor(t) + 1`` clipped to the pads, so a delay outside
     [0, nt - 1) reads zeros.  The x2 weight of an off-diagonal pair is
     folded into its pads (doubling is exact for normal numbers).  The
-    pixels are split into one contiguous slice for each of the ``workers``
-    threads; every slice sums its pairs in the same order, so the result
-    does not depend on the worker count.
+    pixels are split into one contiguous slice for each of ``min(workers,
+    pixels)`` threads; every slice sums its pairs in the same order, so the
+    result does not depend on the worker count.
     """
     M = channels.n_elements
     nt = channels.n_samples
@@ -272,8 +272,9 @@ def _das_sum(channels: ChannelDataSet, idx_maps,
             f += g
             out += f
 
-    bounds = np.linspace(0, npix, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+    pool_size = max(1, min(workers, npix))
+    bounds = np.linspace(0, npix, pool_size + 1).astype(int)
+    with ThreadPoolExecutor(pool_size) as pool:
         list(pool.map(run, [slice(a, b) for a, b in zip(bounds, bounds[1:])]))
     return acc
 

@@ -237,6 +237,8 @@ def loads(text: str | bytes) -> Scenario:
                 raise ScenarioError(f"imaging.scatterers[{i}]: expected [x, z, amp]")
             scatterers.append((_point(s[:2], scale, "scatterer"),
                                _number(s[2], "scatterer")))
+        if not scatterers:
+            raise ScenarioError("imaging.scatterers: need at least one scatterer")
         fs = _number(spec["sample_rate_hz"], "imaging.sample_rate_hz")
         floor = 0.0 if pulse is None else pulse.min_sample_rate
         if not fs > floor:

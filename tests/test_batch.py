@@ -7,7 +7,7 @@ import pytest
 
 from goatfocus import batch, goatsolve
 from goatfocus.batch import tof_batch, tof_maps
-from goatfocus.goatsolve import hmfa_tof, hybrid_rows, solve, tof_rows
+from goatfocus.goatsolve import hmfa_tof, solve, solve_rows
 from goatfocus.medium import Point2
 from goatfocus.scenario import load
 
@@ -82,15 +82,14 @@ class TestShootingStage:
         ends = np.zeros((4, rows))
         ends[2] = rng.uniform(55 * MM, 65 * MM, rows)
         ends[3] = rng.uniform(50 * MM, 70 * MM, rows)
-        assert not tof_rows(med, ends.T)[1].any()
         tracemalloc.start()
         try:
-            tof = hybrid_rows(med, ends)[1]
+            _, tof, _, rejected, _ = solve_rows(med, ends)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         misses = rows * goatsolve._SHOOTING_CANDIDATES * 8
-        assert np.isnan(tof).all()
+        assert rejected.all() and np.isnan(tof).all()
         assert misses <= peak < 2 * misses
 
 
@@ -121,13 +120,13 @@ class TestTofMaps:
         sx = np.array([p.x for p, _ in scn.imaging.scatterers])
         sz = np.array([p.z for p, _ in scn.imaging.scatterers])
         calls = []
-        real = batch.tof_rows
+        real = batch.solve_rows
 
         def counting(medium, ends, opts):
-            calls.append((medium.num_layers, len(ends)))
+            calls.append((medium.num_layers, ends.shape[1]))
             return real(medium, ends, opts)
 
-        monkeypatch.setattr(batch, "tof_rows", counting)
+        monkeypatch.setattr(batch, "solve_rows", counting)
         tofs = tof_maps(scn.medium, scn.array.element_positions, sx, sz,
                         scn.solver, workers=2)
         assert calls == [(2, 64 * 7)]

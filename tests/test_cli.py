@@ -193,6 +193,14 @@ class TestCmdSolve:
         rep = json.loads(out)
         assert rep["source_m"][1] == 0.0
 
+    def test_negative_focus_coordinate(self, capsys):
+        # proxon's array and grid span negative x; a value that starts with
+        # "-" is the option's argument, not another option.
+        argv = ("solve", "--scenario", "proxon", "--source", "0")
+        code, out, _ = run(capsys, *argv, "--focus", "-5,30")
+        assert code == 0
+        assert (code, out) == run(capsys, *argv, "--focus=-5,30")[:2]
+
     @pytest.mark.parametrize("scenario, source, focus", [
         # Under setting3's 2200 m/s cover, where a straight chord at the
         # first layer's speed would pass for a ToF.
@@ -439,6 +447,12 @@ class TestCmdLevelset:
         assert lines[3] == "x_m,z_m,oval_residual_m"
         assert len(lines) > 50
 
+    def test_negative_seed_coordinate(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "levelset", "--scenario", "proxon",
+                         "--source", "0", "--focus", "0,30", "--seed", "-2,12",
+                         "--out", str(tmp_path / "c.csv"))
+        assert code == 0
+
     def test_three_layers_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "levelset", "--scenario", "setting3",
                            "--seed", "12,30", "--out", str(tmp_path / "c.csv"))
@@ -609,6 +623,11 @@ class TestNonFiniteInput:
         pytest.param("solver", {"bisection_fallback": True},
                      "solver: unknown keys ['bisection_fallback']",
                      id="retired-fallback"),
+        # Without a scatterer a beamform would solve a ToF map and then find
+        # that no element reaches any scatterer.
+        pytest.param("imaging", dict(_imaging(), scatterers=[]),
+                     "imaging.scatterers: need at least one scatterer",
+                     id="empty-scatterers"),
     ])
     def test_scenario_document_exit_2(self, capsys, tmp_path, field, value,
                                       message):

@@ -17,16 +17,19 @@ from goatfocus.goatsolve import (
     GoatSolution,
     SolverOptions,
     _chord_rows,
+    _ends,
     hmfa_tof,
     initial_guess_straight,
     residual_jacobian,
     residuals,
     solve,
     solve_newton,
+    solve_rows,
     solve_shooting,
     tof_of_path,
 )
 from goatfocus.raytrace import LOST_CAUSES
+from goatfocus.scenario import load
 
 from cases import (
     MM,
@@ -350,6 +353,36 @@ class TestSolveHybrid:
         assert sol.path.points[0].dist(TABLE2_SOURCES[2]) <= 1e-12
         assert sol.path.points[-1].dist(TABLE2_FOCUS) <= 1e-12
         assert sol.residual_norm <= 1e-12
+
+
+class TestSolveIsOneRow:
+    # solve runs one row of solve_rows, the chain the batch runs on blocks
+    # of rows, so the two agree bit for bit in both stages.
+    @pytest.mark.parametrize("name, focus_mm, method", [
+        ("setting3", None, "newton"),
+        ("oscillating", (38.0, 48.0), "hybrid"),
+        ("oscillating", (41.0, 55.0), "hybrid"),
+    ])
+    def test_matches_one_row_of_solve_rows(self, name, focus_mm, method):
+        scn = load(name)
+        p0 = scn.sources[0]
+        pN = (scn.foci[0] if focus_mm is None
+              else Point2(focus_mm[0] * MM, focus_mm[1] * MM))
+        sol = solve(scn.medium, p0, pN, scn.solver)
+        sub = scn.medium.truncated(scn.medium.layer_of(pN))
+        xs, tof, iterations, rejected, shot = solve_rows(
+            sub, _ends(p0, pN), scn.solver)
+        assert sol.method == method
+        assert rejected[0] == (method == "hybrid")
+        assert (shot is None) == (method == "newton")
+        assert sol.xs == tuple(xs[:, 0].tolist())
+        assert sol.tof == tof[0]
+        assert sol.iterations == iterations[0]
+
+    def test_total_reflection_default_pair_raises(self):
+        scn = load("total_reflection")
+        with pytest.raises(TotalReflectionError):
+            solve(scn.medium, scn.sources[0], scn.foci[0], scn.solver)
 
 
 class TestFiveEquationGroups:

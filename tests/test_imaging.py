@@ -411,6 +411,21 @@ class TestDasBeamform:
         finally:
             sys.setswitchinterval(switch)
 
+    def test_das_sum_opens_no_more_slices_than_pixels(self, rng, monkeypatch):
+        ch = ChannelDataSet(rng.standard_normal((4, 4, 200)), FS)
+        idx = rng.uniform(-5.0, 110.0, (4, 3))
+        ref = _das_sum(ch, idx, workers=1)
+        pools = []
+        real = imaging.ThreadPoolExecutor
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return real(max_workers)
+
+        monkeypatch.setattr(imaging, "ThreadPoolExecutor", recording)
+        assert np.array_equal(_das_sum(ch, idx, workers=8), ref)
+        assert pools == [3]
+
 
 class TestDasGather:
     """``_das_sum`` against the masked gather it replaced, bit for bit."""

@@ -18,7 +18,7 @@ from goatfocus import batch, goatsolve
 from goatfocus.analysis import fermat_oracle
 from goatfocus.batch import tof_batch, tof_maps
 from goatfocus.errors import GoatFocusError
-from goatfocus.goatsolve import solve, tof_rows
+from goatfocus.goatsolve import solve, solve_rows
 from goatfocus.medium import Point2
 
 from cases import (
@@ -74,25 +74,25 @@ def test_failed_rows_enter_shooting_once(monkeypatch):
     src = Point2(rng.uniform(lo, hi), 0.0)
     tx, tz = rng.uniform(lo, hi, 60), rng.uniform(40 * MM, 60 * MM, 60)
     ends = np.column_stack((np.full((tx.size, 2), (src.x, src.z)), tx, tz))
-    failed = np.flatnonzero(~tof_rows(med, ends)[1])
+    failed = np.flatnonzero(solve_rows(med, ends.T)[3])
     assert failed.size == 4
     chords, stage = [], []
-    real_chords, real_stage = goatsolve._chord_rows, batch.hybrid_rows
+    real_chords, real_stage = goatsolve._chord_rows, goatsolve._shoot_rows
 
     def chord_rows(medium, e):
         chords.append(e.shape[1])
         return real_chords(medium, e)
 
-    def hybrid_rows(medium, e, opts):
+    def shoot_rows(medium, e):
         stage.append(e.T.copy())
-        return real_stage(medium, e, opts)
+        return real_stage(medium, e)
 
     def scalar(*args, **kwargs):
         raise AssertionError("the batch made a scalar solve")
 
     monkeypatch.setattr(goatsolve, "_chord_rows", chord_rows)
-    monkeypatch.setattr(batch, "hybrid_rows", hybrid_rows)
-    for name in ("solve", "solve_newton", "solve_shooting", "solve_hybrid"):
+    monkeypatch.setattr(goatsolve, "_shoot_rows", shoot_rows)
+    for name in ("solve", "solve_newton", "solve_shooting"):
         monkeypatch.setattr(goatsolve, name, scalar)
     got = tof_batch(med, src, tx, tz)
     assert chords == [tx.size] and len(stage) == 1
@@ -140,9 +140,9 @@ def test_unverified_rows_are_nan(dx, dz):
     x = np.array([TOTAL_REFLECTION_FOCUS.x, TOTAL_REFLECTION_FOCUS.x + dx])
     z = np.array([TOTAL_REFLECTION_FOCUS.z, TOTAL_REFLECTION_FOCUS.z + dz])
     ends = np.column_stack((np.full((2, 2), (src.x, src.z)), x, z))
-    tof, ok = tof_rows(med, ends)
-    assert not ok[0]
-    assert np.array_equal(np.isnan(tof), ~ok)
+    _, tof, _, rejected, _ = solve_rows(med, ends.T)
+    assert rejected[0]
+    assert np.array_equal(np.isnan(tof), rejected)
     got = tof_batch(med, src, x, z)
     assert np.isnan(got[0])
     assert_batch_equals_scalar(med, src, x, z)
@@ -182,23 +182,28 @@ def _stage_case(name, seed, per_layer):
        st.integers(0, 2**32 - 1))
 def test_rows_are_independent(name, seed):
     # Every layer's targets go to the full stack, so the rows above the last
-    # interface fail their checks and mix NaN rows with verified ones.  On
-    # the oscillating interface some rows of a call halve their step while
-    # others take it whole, so each row must accept its own trial step.
+    # interface fail their checks and mix rejected rows with verified ones.
+    # On the oscillating interface some rows of a call halve their step
+    # while others take it whole, so each row must accept its own trial step.
     rng, med, src = _medium_and_source(name, seed)
     tx, tz = targets_in_every_layer(rng, med, per_layer=8)
     ends = np.column_stack((np.full((tx.size, 2), (src.x, src.z)), tx, tz))
-    tof, ok = tof_rows(med, ends)
-    alone = [tof_rows(med, ends[i:i + 1]) for i in range(tx.size)]
+
+    def tof_rejected(rows):
+        _, tof, _, rejected, _ = solve_rows(med, ends[rows].T)
+        return tof, rejected
+
+    tof, rej = tof_rejected(slice(None))
+    alone = [tof_rejected(slice(i, i + 1)) for i in range(tx.size)]
     assert _same(np.concatenate([t for t, _ in alone]), tof)
-    assert np.array_equal(np.concatenate([o for _, o in alone]), ok)
+    assert np.array_equal(np.concatenate([r for _, r in alone]), rej)
     perm = rng.permutation(tx.size)
-    tof_p, ok_p = tof_rows(med, ends[perm])
-    assert _same(tof_p, tof[perm]) and np.array_equal(ok_p, ok[perm])
+    tof_p, rej_p = tof_rejected(perm)
+    assert _same(tof_p, tof[perm]) and np.array_equal(rej_p, rej[perm])
     cut = int(rng.integers(1, tx.size))
-    (t1, o1), (t2, o2) = tof_rows(med, ends[:cut]), tof_rows(med, ends[cut:])
+    (t1, r1), (t2, r2) = tof_rejected(slice(cut)), tof_rejected(slice(cut, None))
     assert _same(np.concatenate((t1, t2)), tof)
-    assert np.array_equal(np.concatenate((o1, o2)), ok)
+    assert np.array_equal(np.concatenate((r1, r2)), rej)
 
 
 @SETTINGS
