@@ -34,10 +34,11 @@ from .errors import (
     NonConvergenceError,
     TotalReflectionError,
 )
-from .medium import _DOMAIN_SLACK, Linear, Medium, Point2
-from .raytrace import LOST_CAUSES, MIN_SEGMENT, RayPath, _chord_root, trace_rows
+from .medium import _DOMAIN_SLACK, Medium, Point2
+from .raytrace import LOST_CAUSES, MIN_SEGMENT, RayPath, trace_rows
 
 _SHOOTING_CANDIDATES = 64
+_SCAN_ROWS = 256  # rows per trace call of the scan, 64 rays each
 _FP_TOL = 1e-13  # |terminal x - focus x| target for shooting (m)
 
 
@@ -180,23 +181,18 @@ def residual_jacobian(medium: Medium, p0: Point2, pN: Point2, xs):
     return tuple(a[:, 0] for a in _jacobian(medium, xs, chain))
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _chord_rows(medium: Medium, ends):
     """Crossings (K, rows) of each row's straight chord with every
-    interface, ``ends`` being (4, rows); NaN where a chord misses the
-    interface between its endpoints or inside the lateral domain.  Curved
-    interfaces are crossed by :func:`raytrace._chord_root` on the chord."""
+    interface, ``ends`` being (4, rows); NaN where a chord does not cross an
+    interface exactly once between its endpoints, or crosses it outside the
+    lateral domain: such a row goes to the shooting stage."""
     x0, z0, xN, zN = ends
     lo, hi = medium.domain
     xs = np.empty((medium.num_layers - 1, ends.shape[1]))
     for i, curve in enumerate(medium.boundaries):
-        if isinstance(curve, Linear):
-            t = (curve.k * x0 + curve.d - z0) / ((zN - z0) - curve.k * (xN - x0))
-        else:
-            t = _chord_root(curve, x0, z0, xN - x0, zN - z0, lo, hi)
+        t, n = curve._crossings(x0, z0, xN - x0, zN - z0, 1.0)
         x = x0 + t * (xN - x0)
-        xs[i] = np.where((0.0 < t) & (t < 1.0) & (lo - 1e-12 <= x)
-                            & (x <= hi + 1e-12), x, np.nan)
+        xs[i] = np.where((n == 1) & (lo - 1e-12 <= x) & (x <= hi + 1e-12), x, np.nan)
     return xs
 
 
@@ -207,8 +203,8 @@ def initial_guess_straight(medium: Medium, p0: Point2, pN: Point2) -> np.ndarray
     if np.any(np.isnan(xs)):
         i = int(np.argmax(np.isnan(xs)))
         raise NoIntersectionError(
-            f"straight chord does not cross boundary {i + 1} between the "
-            f"endpoints inside the lateral domain {medium.domain}",
+            f"straight chord does not cross boundary {i + 1} exactly once "
+            f"between the endpoints inside the lateral domain {medium.domain}",
             boundary_index=i + 1)
     return xs
 
@@ -364,12 +360,13 @@ def _scan_rows(medium: Medium, ends):
     pad = 1e-9 * (hi - lo)
     cand = np.linspace(lo + pad, hi - pad, _SHOOTING_CANDIDATES)
     miss = np.empty((ends.shape[1], cand.size))
-    causes = np.zeros((len(LOST_CAUSES), ends.shape[1]), dtype=int)
-    codes = np.arange(1, len(LOST_CAUSES) + 1)[:, None]
-    for j, x in enumerate(cand):
-        _, x_end, _, lost = trace_rows(medium, ends, np.full(ends.shape[1], x))
-        miss[:, j] = x_end - ends[2]
-        causes += lost == codes
+    lost = np.empty(miss.shape, dtype=np.int8)
+    for r in range(0, ends.shape[1], _SCAN_ROWS):
+        e = np.repeat(ends[:, r:r + _SCAN_ROWS], cand.size, axis=1)
+        _, x_end, _, code = trace_rows(medium, e, np.tile(cand, e.shape[1] // cand.size))
+        miss[r:r + _SCAN_ROWS] = (x_end - e[2]).reshape(-1, cand.size)
+        lost[r:r + _SCAN_ROWS] = code.reshape(-1, cand.size)
+    causes = np.array([np.sum(lost == i, axis=1) for i in range(1, len(LOST_CAUSES) + 1)])
     return cand, miss, causes
 
 

@@ -5,6 +5,7 @@ continuously differentiable boundary curves z = b(x) over a shared lateral
 interval.  Depth z increases downward; the transducer plane sits at z = 0
 above the first boundary.  All quantities are SI (meters, seconds, m/s).
 A horizontal boundary (:class:`Constant`) is :class:`Linear` at slope 0.
+Every boundary kind finds its own exact crossings with straight lines.
 """
 
 from __future__ import annotations
@@ -44,10 +45,13 @@ class BoundaryCurve:
 
     domain: tuple[float, float]
 
-    def contains(self, x) -> bool:
+    def _checked(self, x):
+        """``x``, or DomainError where it leaves the domain (with slack)."""
         lo, hi = self.domain
-        return bool(np.all((np.asarray(x) >= lo - _DOMAIN_SLACK)
-                           & (np.asarray(x) <= hi + _DOMAIN_SLACK)))
+        if not np.all((np.asarray(x) >= lo - _DOMAIN_SLACK)
+                      & (np.asarray(x) <= hi + _DOMAIN_SLACK)):
+            raise DomainError(f"x = {x} outside boundary domain {self.domain}")
+        return x
 
     def _eval(self, x):
         raise NotImplementedError
@@ -57,6 +61,11 @@ class BoundaryCurve:
 
     def _curvature(self, x):
         """Second derivative b''(x), used by the analytic Jacobian."""
+        raise NotImplementedError
+
+    def _crossings(self, ox, oz, ux, uz, t_hi):
+        """(t, n) per line (ox + t ux, oz + t uz): its first crossing with the
+        curve for 0 < t < t_hi (NaN if none) and its number of crossings."""
         raise NotImplementedError
 
     # Geometry transforms used by invariance tests and reversed traversal.
@@ -84,6 +93,13 @@ class Linear(BoundaryCurve):
 
     def _curvature(self, x):
         return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _crossings(self, ox, oz, ux, uz, t_hi):
+        denom = uz - self.k * ux
+        t = (self.k * ox + self.d - oz) / denom
+        hit = (np.abs(denom) >= 1e-300) & (0.0 < t) & (t < t_hi)
+        return np.where(hit, t, np.nan), hit.astype(int)
 
     def translated(self, dx):
         lo, hi = self.domain
@@ -148,6 +164,16 @@ class Ellipse(BoundaryCurve):
         out = -self.sign * (self.b / self.a**2) / root**3
         return out if np.ndim(x) else float(out)
 
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _crossings(self, ox, oz, ux, uz, t_hi):
+        # In ellipse units the ellipse is the unit circle, met by a line at the
+        # roots of A t^2 + 2 B t + C; a root counts where it is on this half.
+        p, q = (ox - self.center.x) / self.a, (oz - self.center.z) / self.b
+        u, v = ux / self.a, uz / self.b
+        roots = _root_pair(u * u + v * v, p * u + q * v, p * p + q * q - 1.0)
+        ok = [(0.0 < r) & (r < t_hi) & (self.sign * (q + r * v) >= 0.0) for r in roots]
+        return np.fmin(*np.where(ok, roots, np.nan)), np.sum(ok, axis=0)
+
     def translated(self, dx):
         lo, hi = self.domain
         return Ellipse(self.a, self.b, Point2(self.center.x + dx, self.center.z),
@@ -178,6 +204,13 @@ class SampledC1(BoundaryCurve):
         self.z_samples = z
         self.domain = (float(x[0]), float(x[-1])) if domain is None else tuple(domain)
         self._coef = _natural_spline(x, z)
+        # Each piece's x-interval inside the domain, and its padded depth range.
+        self._left, self._right = np.clip(
+            [np.r_[-np.inf, x[1:-1]], np.r_[x[1:-1], np.inf]], *self.domain)
+        w = self._right - self._left
+        zs = self._eval(self._left + self._parts(np.arange(w.size), self._left, 1.0, 0.0,
+                                                 0.0 * w, w))
+        self._zlo, self._zhi = zs.min(0) - _DOMAIN_SLACK, zs.max(0) + _DOMAIN_SLACK
 
     def _piece(self, x):
         """Coefficients (c3, c2, c1, c0) of the piece holding each x, and
@@ -202,6 +235,68 @@ class SampledC1(BoundaryCurve):
         (c3, c2, _, _), t = self._piece(x)
         out = 6.0 * c3 * t + 2.0 * c2
         return out if np.ndim(x) else float(out)
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _crossings(self, ox, oz, ux, uz, t_hi):
+        t_hi = np.broadcast_to(t_hi, np.shape(ox))
+        if np.size(ox) > 2048:  # chunks of lines bound the (line, piece) pairs
+            chunks = [self._crossings(*(w[r:r + 2048] for w in (ox, oz, ux, uz, t_hi)))
+                      for r in range(0, np.size(ox), 2048)]
+            return tuple(np.concatenate(w) for w in zip(*chunks))
+        # Each line's stretch inside the curve's depth range, and one (line,
+        # piece) pair per piece it spans there.
+        ta, tb = _slab(oz, uz, np.min(self._zlo), np.max(self._zhi))
+        ta, tb = np.fmax(ta, 0.0), np.fmin(tb, t_hi)
+        knots = self.x_samples[1:-1]
+        j0, j1 = (np.searchsorted(knots, f(ox + ta * ux, ox + tb * ux), side="right")
+                  for f in (np.fmin, np.fmax))
+        count = np.where(ta < tb, j1 - j0 + 1, 0)
+        i = np.repeat(np.arange(np.size(ox)), count)
+        j = j0[i] + np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+        # A pair's stretch on its piece inside the domain, kept where the line
+        # there meets the piece's depth range, split into monotone parts.
+        pa, pb = _slab(ox[i], ux[i], self._left[j], self._right[j])
+        pa, pb = np.fmax(pa, ta[i]), np.fmin(pb, tb[i])
+        z = oz[i] + [pa, pb] * uz[i]
+        keep = (pa < pb) & (z.min(0) <= self._zhi[j]) & (z.max(0) >= self._zlo[j])
+        i, j, pa, pb = i[keep], j[keep], pa[keep], pb[keep]
+        e = self._parts(j, ox[i], ux[i], uz[i], pa, pb)
+        # A part holds one crossing where its ends change sign (open at its
+        # start); polish each line's first by Newton kept inside the part.
+        g = self._eval(ox[i] + e * ux[i]) - (oz[i] + e * uz[i])
+        change = ((g[:-1] < 0.0) & (g[1:] >= 0.0)) | ((g[:-1] > 0.0) & (g[1:] <= 0.0))
+        n = np.bincount(i, change.sum(axis=0), np.size(ox)).astype(int)
+        k = np.argmax(change, axis=0)
+        p = np.flatnonzero(change.any(axis=0))
+        p = p[np.lexsort((e[k[p], p], i[p]))]
+        p = p[np.diff(i[p], prepend=-1) != 0]
+        a, b, ga, gb, i = e[k[p], p], e[k[p] + 1, p], g[k[p], p], g[k[p] + 1, p], i[p]
+        t, go = np.clip(a - ga * (b - a) / (gb - ga), a, b), np.ones(p.size, dtype=bool)
+        (c3, c2, c1, c0), s0 = self._coef[:, j[p]], ox[i] - self.x_samples[j[p]]
+        for _ in range(64):
+            s = s0 + t * ux[i]
+            gt = ((c3 * s + c2) * s + c1) * s + c0 - (oz[i] + t * uz[i])
+            step = t - gt / (((3.0 * c3 * s + 2.0 * c2) * s + c1) * ux[i] - uz[i])
+            right = (ga < 0.0) == (gt < 0.0)  # the crossing lies right of t
+            a, b = np.where(right, t, a), np.where(right, b, t)
+            new = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+            go &= (gt != 0.0) & (step != t) & (new != t)
+            if not go.any():
+                break
+            t = np.where(go, new, t)
+        first = np.full(np.size(ox), np.nan)
+        first[i] = t
+        return first, n
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _parts(self, j, ox, ux, uz, ta, tb):
+        """Ends (4, pairs) of the parts of [ta, tb] on which piece j minus
+        the line (ox + t ux, oz + t uz) is monotone."""
+        c3, c2, c1, _ = self._coef[:, j]
+        s0 = ox - self.x_samples[j]
+        turns = _root_pair(3.0 * c3 * ux, c2 * ux, c1 * ux - uz)
+        return np.sort([ta, tb] + [np.fmin(np.fmax((s - s0) / ux, ta), tb)
+                                   for s in turns], axis=0)
 
     def translated(self, dx):
         lo, hi = self.domain
@@ -236,25 +331,35 @@ def _natural_spline(x, z) -> np.ndarray:
                      d - h * (2.0 * M[:-1] + M[1:]) / 6.0, z[:-1]])
 
 
+def _root_pair(A, B, C):
+    """Both roots of A t^2 + 2 B t + C = 0 by the stable formula; NaN where
+    complex, non-finite where missing (A = 0)."""
+    w = -(B + np.copysign(np.sqrt(B * B - A * C), B))
+    return w / A, C / w
+
+
+def _slab(o, u, lo, hi):
+    """The t-interval (ta, tb) on which lo <= o + t u <= hi, one per row;
+    all t for a line with u = 0 inside the slab, empty (ta > tb) outside."""
+    t1, t2 = (lo - o) / u, (hi - o) / u
+    flat = np.where((lo <= o) & (o <= hi), np.inf, -np.inf)
+    return (np.where(u == 0.0, -flat, np.fmin(t1, t2)),
+            np.where(u == 0.0, flat, np.fmax(t1, t2)))
+
+
 def boundary_eval(curve: BoundaryCurve, x):
     """Evaluate z = b(x) with domain enforcement."""
-    if not curve.contains(x):
-        raise DomainError(f"x = {x} outside boundary domain {curve.domain}")
-    return curve._eval(x)
+    return curve._eval(curve._checked(x))
 
 
 def boundary_slope(curve: BoundaryCurve, x):
     """Evaluate b'(x) (the tangent slope tan(alpha)) with domain enforcement."""
-    if not curve.contains(x):
-        raise DomainError(f"x = {x} outside boundary domain {curve.domain}")
-    return curve._slope(x)
+    return curve._slope(curve._checked(x))
 
 
 def boundary_curvature(curve: BoundaryCurve, x):
     """Evaluate b''(x); zero for straight boundaries."""
-    if not curve.contains(x):
-        raise DomainError(f"x = {x} outside boundary domain {curve.domain}")
-    return curve._curvature(x)
+    return curve._curvature(curve._checked(x))
 
 
 @dataclass(frozen=True)
@@ -278,13 +383,11 @@ class Medium:
     speeds: tuple[float, ...]
     boundaries: tuple[BoundaryCurve, ...]
     domain: tuple[float, float]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __init__(self, speeds, boundaries, domain):
         object.__setattr__(self, "speeds", tuple(float(c) for c in speeds))
         object.__setattr__(self, "boundaries", tuple(boundaries))
         object.__setattr__(self, "domain", (float(domain[0]), float(domain[1])))
-        object.__setattr__(self, "_cache", {})
 
     @property
     def num_layers(self) -> int:
@@ -293,17 +396,6 @@ class Medium:
     @property
     def width(self) -> float:
         return self.domain[1] - self.domain[0]
-
-    def min_gap(self) -> float:
-        """Smallest vertical separation between consecutive interfaces
-        (including the array plane z = 0 above the first), on a dense grid."""
-        if "min_gap" not in self._cache:
-            xg = np.linspace(self.domain[0], self.domain[1], _ORDERING_GRID)
-            rows = [np.zeros_like(xg)] + [np.asarray(b._eval(xg), dtype=float)
-                                          for b in self.boundaries]
-            gaps = [np.min(rows[i + 1] - rows[i]) for i in range(len(rows) - 1)]
-            self._cache["min_gap"] = float(min(gaps))
-        return self._cache["min_gap"]
 
     def layer_of(self, p: Point2) -> int:
         """1-based index of the layer containing p (boundary points belong

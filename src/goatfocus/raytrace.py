@@ -28,9 +28,6 @@ MIN_SEGMENT = 1e-12
 # the downstream intersection ill-conditioned.
 _GRAZING_LIMIT = 1.0 - 1e-12
 
-# Intersection root polish target on |b(x(t)) - z(t)| (m).
-_INTERSECT_TOL = 1e-13
-
 # Why a ray is lost: :func:`trace_rows` reports cause i as code i + 1, and
 # code 0 for a ray that arrives.
 LOST_CAUSES = ("total_reflection", "no_intersection")
@@ -90,108 +87,20 @@ def next_direction(tau, sin_out):
     return sin_out * tx - cos_out * tz, sin_out * tz + cos_out * tx
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _line_t(ox, oz, ux, uz, k, d):
-    """Ray parameter of the crossing with z = k*x + d, NaN unless positive."""
-    denom = uz - k * ux
-    t = (k * ox + d - oz) / denom
-    return np.where((np.abs(denom) >= 1e-300) & (t > 0.0), t, np.nan)
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _march(curve, ox, oz, ux, uz, lo, hi, step):
-    """Ray parameter of each ray's first crossing with a curved boundary,
-    NaN where the ray leaves the lateral domain first.
-
-    Every ray marches t in steps of ``step`` to a sign change of
-    g(t) = b(x(t)) - z(t), stepping off the boundary first if it starts on
-    it; :func:`_chord_root` then polishes each bracket to |g| <= 1e-13 m.
-    """
-    def g(t, r):
-        return curve._eval(ox[r] + t * ux[r]) - (oz[r] + t * uz[r])
-
-    # The march ends at the domain exit, or after a generous travel bound
-    # for near-vertical rays.
-    t_exit = np.where(ux > 1e-15, (hi - ox) / ux,
-                      np.where(ux < -1e-15, (lo - ox) / ux,
-                               (hi - lo) + np.abs(oz) + 1.0))
-    t = np.zeros_like(ox)
-    g_prev = g(t, slice(None))
-    on = np.abs(g_prev) <= _INTERSECT_TOL
-    t[on] = step * 1e-6
-    g_prev[on] = g(t[on], on)
-    a, b = np.full_like(ox, np.nan), np.full_like(ox, np.nan)
-    live = np.flatnonzero(t < t_exit)
-    while live.size:
-        t_new = np.minimum(t[live] + step, t_exit[live])
-        g_new = g(t_new, live)
-        hit = g_prev[live] * g_new <= 0.0
-        a[live[hit]], b[live[hit]] = t[live[hit]], t_new[hit]
-        t[live], g_prev[live] = t_new, g_new
-        live = live[~hit & (t_new < t_exit[live])]
-    f = np.flatnonzero(~np.isnan(a))
-    w = b[f] - a[f]
-    s = _chord_root(curve, ox[f] + a[f] * ux[f], oz[f] + a[f] * uz[f],
-                    w * ux[f], w * uz[f], lo, hi)
-    t = np.full_like(ox, np.nan)
-    t[f] = a[f] + s * w
-    return t
-
-
-def _chord_root(curve, x0, z0, dx, dz, lo, hi):
-    """Root t in [0, 1] of h(t) = b(x0 + t dx) - (z0 + t dz), one per row;
-    NaN where h does not change sign over the chord.  Bisection isolates
-    the root to a bracket of 2**-20 of the chord, where a safeguarded
-    Newton step finishes it to |h| <= 1e-13 m."""
-    def h(t):
-        return curve._eval(x0 + t * dx) - (z0 + t * dz)
-
-    a, b = np.zeros_like(x0), np.ones_like(x0)
-    ha, hb = h(a), h(b)
-    for _ in range(20):
-        m = 0.5 * (a + b)
-        hm = h(m)
-        left = ha * hm <= 0
-        a, ha, b = np.where(left, a, m), np.where(left, ha, hm), np.where(left, m, b)
-    t = 0.5 * (a + b)
-    scale = np.maximum(np.abs(dz), np.abs(dx))
-    go = ha * hb <= 0
-    for _ in range(60):
-        ht = h(t)
-        go &= (np.abs(ht) > _INTERSECT_TOL) & ((b - a) * scale > 1e-16)
-        if not np.any(go):
-            break
-        left = go & (ha * ht <= 0)
-        right = go & ~left
-        a, ha, b = np.where(right, t, a), np.where(right, ht, ha), np.where(left, t, b)
-        # Newton on h inside the bracket; bisect where it would leave it.
-        step = t - ht / (curve._slope(np.clip(x0 + t * dx, lo, hi)) * dx - dz)
-        step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
-        t = np.where(go, step, t)
-    return np.where(ha * hb > 0, np.nan, t)
-
-
-@np.errstate(invalid="ignore")
 def intersect_next(medium: Medium, k: int, ox, oz, ux, uz, z_stop=None):
     """First crossings (x, z) of the rays from (ox, oz) along the unit
     directions (ux, uz) with boundary ``k`` (0-based) of ``medium``, or with
     the horizontal stop line z = z_stop where that is given; NaN where a
     ray misses.
 
-    Straight boundaries and the stop line are crossed in closed form,
-    curved boundaries by :func:`_march` in steps of (smallest interface
-    gap)/8.  A boundary crossing must lie inside the lateral domain; the
+    The boundary, or the stop line as a flat boundary, finds the crossings
+    itself.  A boundary crossing must lie inside the lateral domain; the
     stop line extends beyond it.
     """
-    lo, hi = medium.domain
-    if z_stop is not None:
-        t = _line_t(ox, oz, ux, uz, 0.0, z_stop)
-    else:
-        curve = medium.boundaries[k]
-        if isinstance(curve, Linear):
-            t = _line_t(ox, oz, ux, uz, curve.k, curve.d)
-        else:
-            t = _march(curve, ox, oz, ux, uz, lo, hi, medium.min_gap() / 8.0)
+    curve = medium.boundaries[k] if z_stop is None else Linear(0.0, z_stop)
+    t = curve._crossings(ox, oz, ux, uz, np.inf)[0]
+    if z_stop is None:
+        lo, hi = medium.domain
         x = ox + t * ux
         t[~((lo - 1e-12 <= x) & (x <= hi + 1e-12))] = np.nan
     return ox + t * ux, oz + t * uz

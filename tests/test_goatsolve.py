@@ -9,6 +9,7 @@ import pytest
 from goatfocus.errors import (
     DegenerateSegmentError,
     NoBracketError,
+    NoIntersectionError,
     NonConvergenceError,
     TotalReflectionError,
 )
@@ -173,6 +174,42 @@ class TestInitialGuess:
         xt = (x1 - curve.center.x) / curve.a
         zt = (z1 - curve.center.z) / curve.b
         assert abs(xt**2 + zt**2 - 1.0) <= 1e-12
+
+    def test_chord_crossing_three_times_has_no_start(self):
+        # The default oscillating chord crosses the interface three times:
+        # it gives Newton no straight-ray start, so the shooting stage
+        # solves the row, to the same time of flight as the Newton root
+        # that the chord's middle crossing used to reach.
+        scn = load("oscillating")
+        med, p0, pN = scn.medium, scn.sources[0], scn.foci[0]
+        ends = _ends(p0, pN)
+        _, n = med.boundaries[0]._crossings(ends[0], ends[1], ends[2] - ends[0],
+                                            ends[3] - ends[1], 1.0)
+        assert n.tolist() == [3]
+        assert np.isnan(_chord_rows(med, ends)).all()
+        with pytest.raises(NoIntersectionError, match="exactly once"):
+            initial_guess_straight(med, p0, pN)
+        sol = solve(med, p0, pN)
+        assert sol.method == "hybrid" and sol.tof == 3.545096815617285e-05
+
+    def test_curved_chords_hold_little_memory(self):
+        # A full block of oscillating chords is searched in chunks of rows,
+        # so the (row, spline piece) pairs stay small.
+        import tracemalloc
+        med = load("oscillating").medium
+        lo, hi = med.domain
+        rng = np.random.default_rng(5)
+        n = 16384
+        ends = np.array([rng.uniform(lo, hi, n), np.zeros(n),
+                         rng.uniform(lo, hi, n), rng.uniform(40 * MM, 60 * MM, n)])
+        tracemalloc.start()
+        try:
+            xs = _chord_rows(med, ends)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < np.isnan(xs).sum() < n // 4
+        assert peak <= 8e6
 
 
 class TestSolveNewton:

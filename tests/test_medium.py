@@ -17,7 +17,7 @@ from goatfocus.medium import (
     validate_medium,
 )
 
-from cases import MM, oscillating_medium, setting2_medium
+from cases import MM, oscillating_medium, setting2_medium, setting3_medium
 
 
 def central_diff(curve, x, h):
@@ -251,7 +251,64 @@ class TestMediumHelpers:
         assert med.layer_of(Point2(5 * MM, 31 * MM)) == 2
         assert med.layer_of(Point2(5 * MM, 30 * MM)) == 1
 
-    def test_min_gap(self):
-        med = Medium((1.0, 1.0, 1.0),
-                     (Constant(10 * MM, (0, 1)), Constant(12 * MM, (0, 1))), (0, 1))
-        assert med.min_gap() == pytest.approx(2 * MM, abs=1e-15)
+
+class TestCrossings:
+    """Each boundary kind's line crossings against a sampling of the line
+    every 2.4 um: the same count, and the first crossing inside the first
+    sampled step that changes sign."""
+
+    STEP = 2.4e-6
+
+    @staticmethod
+    def sampled(curve, ox, oz, ux, uz, t_end):
+        m = int(np.ceil(t_end * np.hypot(ux, uz) / TestCrossings.STEP))
+        t = np.linspace(0.0, t_end, m + 1)
+        g = curve._eval(ox + t * ux) - (oz + t * uz)
+        flips = np.flatnonzero(np.sign(g[:-1]) != np.sign(g[1:]))
+        return flips.size, (t[flips[0]] if flips.size else np.nan), t[1]
+
+    @staticmethod
+    def curves():
+        ellipses = setting3_medium().boundaries + setting2_medium().boundaries
+        return [oscillating_medium().boundaries[0], all_curve_kinds()[-1],
+                *ellipses, setting2_medium().flipped(80 * MM).boundaries[0]]
+
+    @staticmethod
+    def ray_end(curve, ox, oz, ux, uz):
+        """Where a downward ray leaves the region the curve can reach: the
+        domain of a spline, the bounding box of an ellipse."""
+        if isinstance(curve, Ellipse):
+            c = curve.center
+            (lo, hi), z_hi = (c.x - curve.a, c.x + curve.a), c.z + curve.b
+        else:
+            (lo, hi), z_hi = curve.domain, np.max(curve.z_samples) + MM
+        x_end = (hi - ox) / ux if ux > 0 else (lo - ox) / ux if ux < 0 else np.inf
+        return min(x_end, (z_hi - oz) / uz)
+
+    @pytest.mark.parametrize("kind", ["chords", "rays"])
+    def test_count_and_first_crossing_match_a_sampled_line(self, rng, kind):
+        multiple = 0
+        for curve in self.curves():
+            lo, hi = curve.domain
+            n = 60
+            ox, oz = rng.uniform(lo, hi, n), rng.uniform(0.0, 5 * MM, n)
+            if kind == "chords":
+                ux = rng.uniform(lo, hi, n) - ox
+                uz = rng.uniform(10 * MM, 80 * MM, n) - oz
+                t_hi, t_end = 1.0, np.ones(n)
+            else:
+                a = rng.uniform(-1.2, 1.2, n)
+                ux, uz = np.sin(a), np.cos(a)
+                t_hi = np.inf
+                t_end = [self.ray_end(curve, *line) for line in zip(ox, oz, ux, uz)]
+            t, count = curve._crossings(ox, oz, ux, uz, t_hi)
+            for i in range(n):
+                want, t_ref, dt = self.sampled(curve, ox[i], oz[i], ux[i], uz[i],
+                                               t_end[i])
+                assert count[i] == want
+                if want:
+                    assert t_ref <= t[i] <= t_ref + dt
+                else:
+                    assert np.isnan(t[i])
+            multiple += np.sum(count > 1)
+        assert multiple > 0

@@ -21,6 +21,7 @@ from goatfocus.raytrace import (
 
 from cases import (
     MM,
+    oscillating_medium,
     random_endpoints,
     random_medium,
     setting3_medium,
@@ -190,6 +191,20 @@ class TestIntersectNext:
         zt = (z - curve.center.z) / curve.b
         assert abs(math.hypot(xt, zt) - 1.0) * curve.b <= 1e-10
 
+    def test_ray_clipping_a_crest_finds_the_first_crossing(self):
+        # A level ray 0.03 mm below the oscillating interface's shallowest
+        # crests (22.00 mm deep, at x = 11.25 mm and every 15 mm on) dips
+        # under each one, crossing twice inside one spline piece, 0.4 mm
+        # apart; the first crossing is the near side of the first crest.
+        med = oscillating_medium()
+        curve = med.boundaries[0]
+        ox, oz = np.full(1, 9.25 * MM), np.full(1, 22.03 * MM)
+        x, z = intersect_next(med, 0, ox, oz, np.ones(1), np.zeros(1))
+        assert 11.0 * MM < x[0] < 11.25 * MM and z[0] == oz[0]
+        assert abs(curve._eval(x[0]) - z[0]) <= 1e-15
+        t, n = curve._crossings(ox, oz, np.ones(1), np.zeros(1), np.inf)
+        assert n.tolist() == [8] and ox[0] + t[0] == x[0]
+
     def test_z_stop_line(self):
         med = Medium((1500.0, 1500.0), (Constant(30 * MM, (-40 * MM, 40 * MM)),),
                      (-40 * MM, 40 * MM))
@@ -229,7 +244,8 @@ class TestPropagate:
         p0 = Point2(10 * MM, 2 * MM)
         xs, x_end, _, lost = trace(med, p0, 14 * MM, 70 * MM)
         assert lost == 0 and xs.shape == (2,)  # two interfaces
-        # Both crossings of the curved stack, the second one marched.
+        # Both crossings of the curved stack, the second one found along
+        # the refracted ray.
         F = residuals(med, p0, Point2(x_end, 70 * MM), xs)
         assert np.max(np.abs(F)) <= 1e-12
 
