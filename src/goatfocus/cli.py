@@ -233,9 +233,10 @@ def cmd_levelset(args) -> int:
     p0 = _pick_source(args, scn)
     p2 = _pick_focus(args, scn)
     seed = _parse_xz(args.seed, scn, "--seed")
-    if not p0.z < seed.z < p2.z:
-        raise ScenarioError("--seed must lie strictly between the source and "
-                            "focus depths")
+    lo, hi = scn.medium.domain
+    if not (p0.z < seed.z < p2.z and lo <= seed.x <= hi):
+        raise ScenarioError("--seed must lie in the lateral domain, strictly "
+                            "between the source and focus depths")
     if args.steps < 1:
         raise ScenarioError("--steps must be at least 1")
     curve = tof_level_set(scn.medium, p0, p2, seed, arc_steps=args.steps)

@@ -8,7 +8,8 @@ interface that couples only neighboring crossings.  The resulting system has
 a tridiagonal Jacobian and is solved by damped Newton from the straight-ray
 guess, then by propagation-based shooting wherever Newton fails.  After
 convergence the full variable set is reconstructed from the crossings alone
-and every equation group is re-verified; nothing is trusted from solver state.
+and every equation group is re-verified, once, and a solution is built from
+the record of that check; nothing is trusted from solver state.
 
 The Newton works on rows, one two-point problem each, with a Thomas sweep
 per row, and so does the shooting stage for the rows it rejects: every
@@ -258,14 +259,15 @@ def _newton_rows(medium: Medium, ends, xs, opts: SolverOptions):
 def _verify_rows(medium: Medium, ends, xs, tol: float):
     """Rebuild every row's chain from its crossings alone and re-check it.
 
-    ``ends`` is (4, rows) and ``xs`` (K, rows).  Returns (failed, chain,
-    implied, tof): ``failed`` is a (4, rows) mask of failed checks, namely a
-    crossing outside the lateral domain, a degenerate segment, an unresolved
-    residual and total reflection (an implied transmitted sine
-    c_{n+1}/c_n sin_in beyond 1 + 1e-9).  A residual is
-    resolved at norm ``tol``, or when its Newton correction is below the
-    spacing of every crossing: within ~1e-9 m of an interface one such
-    spacing moves the residual by more than ``tol``.
+    ``ends`` is (4, rows) and ``xs`` (K, rows).  Returns the record (failed,
+    L, tau, sin_in, sin_out, F, implied, tof), rows on the last axis, L to F
+    as in :func:`_chain`: ``failed`` is a (4, rows) mask of failed checks,
+    namely a crossing outside the lateral domain, a degenerate segment, an
+    unresolved residual and total reflection (an implied transmitted sine
+    c_{n+1}/c_n sin_in beyond 1 + 1e-9).  A residual is resolved at norm
+    ``tol``, or when its Newton correction is below the spacing of every
+    crossing: within ~1e-9 m of an interface one such spacing moves the
+    residual by more than ``tol``.
     """
     chain = _chain(medium, ends, xs)
     c = np.asarray(medium.speeds)
@@ -285,27 +287,17 @@ def _verify_rows(medium: Medium, ends, xs, tol: float):
     tof = chain[2][0] / c[0]
     for i in range(1, len(c)):  # left to right, like a scalar sum
         tof = tof + chain[2][i] / c[i]
-    return failed, chain, implied, tof
+    return (failed, *chain[2:], implied, tof)
 
 
-def _checked_tofs(medium: Medium, ends, xs, opts: SolverOptions):
-    """(tof, ok) of the crossings ``xs`` (K, rows) between ``ends``
-    (4, rows): ok where every check of :func:`_verify_rows` passes, and NaN
-    in tof where one fails."""
-    failed, _, _, tof = _verify_rows(medium, ends, xs, opts.tol_residual)
-    ok = ~np.any(failed, axis=0)
-    return np.where(ok, tof, np.nan), ok
-
-
-def _verify_and_build(medium, p0, pN, xs, iterations, method, opts,
-                      multiple_roots=False) -> GoatSolution:
-    """Reconstruct the full variable set from the crossings and re-check
-    every equation group; package the result."""
-    xs = np.asarray(xs, dtype=float)
-    failed, chain, implied, tof = _verify_rows(
-        medium, _ends(p0, pN), xs.reshape(-1, 1), opts.tol_residual)
-    outside, degenerate, unresolved, reflected = failed[:, 0]
-    _, _, L, tau, sin_in, sin_out, F = (a[:, 0] for a in chain)
+def _build(medium, p0, pN, xs, record, iterations, method, opts,
+           multiple_roots=False) -> GoatSolution:
+    """Package the one row of crossings ``xs`` (K, 1) from its
+    :func:`_verify_rows` record: raise the first failed check, else
+    reconstruct the path."""
+    xs = xs[:, 0]
+    failed, L, tau, sin_in, sin_out, F, implied, tof = (a[..., 0] for a in record)
+    outside, degenerate, unresolved, reflected = failed
     rnorm = float(np.max(np.abs(F)))
     if outside:
         raise DomainError(f"crossings {xs} outside the domain {medium.domain}")
@@ -317,10 +309,10 @@ def _verify_and_build(medium, p0, pN, xs, iterations, method, opts,
             f"exceeds tolerance {opts.tol_residual:.3e}", best_xs=xs,
             best_residual=rnorm, iterations=iterations)
     if reflected:
-        i = int(np.argmax(np.abs(implied[:, 0]) > 1.0 + 1e-9))
+        i = int(np.argmax(np.abs(implied) > 1.0 + 1e-9))
         raise TotalReflectionError(
             f"reconstructed crossing {i + 1} implies |sin| = "
-            f"{abs(implied[i, 0]):.6g}", ratio=float(implied[i, 0]),
+            f"{abs(implied[i]):.6g}", ratio=float(implied[i]),
             boundary_index=i + 1)
     X = (p0.x, *xs, pN.x)
     Z = (p0.z, *(b._eval(x) for b, x in zip(medium.boundaries, xs)), pN.z)
@@ -328,7 +320,7 @@ def _verify_and_build(medium, p0, pN, xs, iterations, method, opts,
     path = RayPath(points, tuple(np.arcsin(np.clip(sin_in, -1.0, 1.0)).tolist()),
                    tuple(np.arcsin(np.clip(sin_out, -1.0, 1.0)).tolist()),
                    tuple(np.arctan(tau).tolist()),
-                   tuple((L / np.asarray(medium.speeds)).tolist()), float(tof[0]))
+                   tuple((L / np.asarray(medium.speeds)).tolist()), float(tof))
     return GoatSolution(tuple(xs.tolist()), path, path.tof_total,
                         iterations, rnorm, method, multiple_roots)
 
@@ -337,15 +329,18 @@ def solve_newton(medium: Medium, p0: Point2, pN: Point2,
                  opts: SolverOptions = SolverOptions()) -> GoatSolution:
     """Damped Newton on the reduced Snell residuals.
 
-    Starts from the straight-ray crossings; each step is halved while the
-    residual norm fails to decrease or a crossing would leave the lateral
-    domain.  Raises NonConvergenceError carrying the best iterate.
+    Starts from the straight-ray crossings on the stack down to pN's layer;
+    each step is halved while the residual norm fails to decrease or a
+    crossing would leave the lateral domain.  Raises NonConvergenceError
+    carrying the best iterate.
     """
-    xs = initial_guess_straight(medium, p0, pN)
-    xs, iterations = _newton_rows(medium, _ends(p0, pN),
-                                  np.reshape(xs, (-1, 1)), opts)
-    return _verify_and_build(medium, p0, pN, xs[:, 0], int(iterations[0]),
-                             "newton", opts)
+    layer = medium.layer_of(pN)
+    medium = medium.truncated(layer) if layer > 1 else medium
+    ends = _ends(p0, pN)
+    xs = initial_guess_straight(medium, p0, pN)[:, None]
+    xs, iterations = _newton_rows(medium, ends, xs, opts)
+    record = _verify_rows(medium, ends, xs, opts.tol_residual)
+    return _build(medium, p0, pN, xs, record, int(iterations[0]), "newton", opts)
 
 
 def _scan_rows(medium: Medium, ends):
@@ -495,49 +490,54 @@ def _no_bracket(causes) -> NoBracketError:
 def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
                    opts: SolverOptions = SolverOptions()) -> GoatSolution:
     """Shooting on the first crossing, the one-row case of
-    :func:`_shoot_rows`.
+    :func:`_shoot_rows` on the stack down to pN's layer.
 
     Raises NoBracketError, with the scan's lost-ray causes, when no root is
     found; if several roots exist the minimal-ToF one is returned and
     flagged.
     """
-    xs, evals, multiple, causes = _shoot_rows(medium, _ends(p0, pN))
+    layer = medium.layer_of(pN)
+    medium = medium.truncated(layer) if layer > 1 else medium
+    ends = _ends(p0, pN)
+    xs, evals, multiple, causes = _shoot_rows(medium, ends)
     if np.isnan(xs[0, 0]):
         raise _no_bracket(causes[:, 0])
-    return _verify_and_build(medium, p0, pN, xs[:, 0], int(evals[0]),
-                             "shooting", opts, bool(multiple[0]))
+    record = _verify_rows(medium, ends, xs, opts.tol_residual)
+    return _build(medium, p0, pN, xs, record, int(evals[0]), "shooting", opts,
+                  bool(multiple[0]))
 
 
 def solve_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
     """The two stages of the solver on every row of ``ends`` = (x0, z0, xN,
     zN), shape (4, rows), each focus below the last interface: row Newton
     from the straight chords, then, for the rows it rejects,
-    :func:`_shoot_rows` and a row Newton polish of the shot crossings.  All
-    are re-verified by :func:`_checked_tofs`; a rejected row keeps the
-    polished crossings if they pass every check, else the shot ones if those
-    pass, else NaN.
+    :func:`_shoot_rows` and a row Newton polish of the shot crossings.  Each
+    set is verified once by :func:`_verify_rows`; a rejected row keeps the
+    polished crossings if they pass every check, else the shot ones.
 
-    Returns (xs, tof, iterations, rejected, shot): the kept crossings
-    (K, rows) and times of flight; the Newton iterations, or for a rejected
-    row the shot's ray evaluations plus, where the polish is kept, its
-    Newton iterations; the mask of rows the Newton stage rejected; and the
-    :func:`_shoot_rows` result for those rows, or None if there are none.
+    Returns (xs, tof, iterations, rejected, shot, record): the kept
+    crossings (K, rows) and times of flight, NaN where a check fails; the
+    Newton iterations, or for a rejected row the shot's ray evaluations
+    plus, where the polish is kept, its Newton iterations; the mask of rows
+    the Newton stage rejected; the :func:`_shoot_rows` result for those
+    rows, or None if there are none; and the kept crossings' record.
     """
     xs, iterations = _newton_rows(medium, ends, _chord_rows(medium, ends), opts)
-    tof, ok = _checked_tofs(medium, ends, xs, opts)
-    rejected = ~ok
+    record = _verify_rows(medium, ends, xs, opts.tol_residual)
+    rejected = np.any(record[0], axis=0)
     shot = None
     r = np.flatnonzero(rejected)
     if r.size:
         e = ends[:, r]
         shot = _shoot_rows(medium, e)
         polished, polish_its = _newton_rows(medium, e, shot[0], opts)
-        tof_pol, ok_pol = _checked_tofs(medium, e, polished, opts)
-        tof_shot, ok_shot = _checked_tofs(medium, e, shot[0], opts)
-        xs[:, r] = np.where(ok_pol, polished, np.where(ok_shot, shot[0], np.nan))
-        tof[r] = np.where(ok_pol, tof_pol, tof_shot)
+        ok_pol = ~np.any(_verify_rows(medium, e, polished, opts.tol_residual)[0], axis=0)
+        xs[:, r] = np.where(ok_pol, polished, shot[0])
+        for a, b in zip(record, _verify_rows(medium, e, xs[:, r], opts.tol_residual)):
+            a[..., r] = b
         iterations[r] = shot[1] + np.where(ok_pol, polish_its, 0)
-    return xs, tof, iterations, rejected, shot
+    tof = np.where(np.any(record[0], axis=0), np.nan, record[-1])
+    return xs, tof, iterations, rejected, shot, record
 
 
 def solve(medium: Medium, p0: Point2, pN: Point2,
@@ -560,21 +560,17 @@ def solve(medium: Medium, p0: Point2, pN: Point2,
         path = RayPath((p0, pN), (), (), (), (tof,), tof)
         return GoatSolution((), path, tof, 0, 0.0, "newton")
     sub = medium.truncated(layer)
-    xs, _, iterations, rejected, shot = solve_rows(sub, _ends(p0, pN), opts)
-    if not rejected[0]:
-        return _verify_and_build(sub, p0, pN, xs[:, 0], int(iterations[0]),
-                                 "newton", opts)
-    shot_xs, _, multiple, causes = shot
-    if np.isnan(shot_xs[0, 0]):
-        exc = _no_bracket(causes[:, 0])
+    xs, _, iterations, rejected, shot, record = solve_rows(sub, _ends(p0, pN), opts)
+    if rejected[0] and np.isnan(shot[0][0, 0]):
+        exc = _no_bracket(shot[3][:, 0])
         if list(exc.causes) == ["total_reflection"]:
             raise TotalReflectionError(
                 "every launch candidate is totally reflected; no transmitted "
                 "path reaches the focus", ratio=None) from exc
         raise exc
-    xs = shot_xs if np.isnan(xs[0, 0]) else xs
-    return _verify_and_build(sub, p0, pN, xs[:, 0], int(iterations[0]),
-                             "hybrid", opts, bool(multiple[0]))
+    return _build(sub, p0, pN, xs, record, int(iterations[0]),
+                  "hybrid" if rejected[0] else "newton", opts,
+                  bool(rejected[0] and shot[2][0]))
 
 
 def tof_of_path(medium: Medium, points) -> float:

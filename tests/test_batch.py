@@ -84,7 +84,7 @@ class TestShootingStage:
         ends[3] = rng.uniform(50 * MM, 70 * MM, rows)
         tracemalloc.start()
         try:
-            _, tof, _, rejected, _ = solve_rows(med, ends)
+            _, tof, _, rejected, _, _ = solve_rows(med, ends)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

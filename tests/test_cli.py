@@ -463,6 +463,7 @@ class TestCmdLevelset:
         # it and no constant-ToF curve between source and focus exists.
         ("--seed", "12,1"),
         ("--seed", "12,30", "--steps", "0"),
+        ("--seed", "500,30"),  # setting1's lateral domain is 0-36.45 mm
     ])
     def test_bad_flag_values_exit_2(self, capsys, tmp_path, flags):
         code, out, err = run(capsys, "levelset", "--scenario", "setting1",

@@ -13,6 +13,7 @@ from goatfocus.errors import (
     NonConvergenceError,
     TotalReflectionError,
 )
+from goatfocus import goatsolve
 from goatfocus.medium import Constant, Medium, Point2
 from goatfocus.goatsolve import (
     GoatSolution,
@@ -384,6 +385,17 @@ class TestSolveHybrid:
         assert len(sol.xs) == 1
         assert sol.path.points[-1] == pN
 
+    def test_middle_layer_focus_agrees_across_solvers(self):
+        # A focus inside the annulus layer lies above the second interface,
+        # so every solver must work on the stack down to the focus's layer.
+        scn = load("setting3")
+        p0, pN = scn.sources[0], Point2(18 * MM, 35.77 * MM)
+        assert scn.medium.layer_of(pN) == 2
+        tofs = [f(scn.medium, p0, pN).tof
+                for f in (solve, solve_newton, solve_shooting)]
+        assert tofs[1] == pytest.approx(tofs[0], rel=1e-15, abs=0)
+        assert tofs[2] == pytest.approx(tofs[0], rel=1e-15, abs=0)
+
     def test_endpoints_reproduced(self):
         med = setting3_medium()
         sol = solve(med, TABLE2_SOURCES[2], TABLE2_FOCUS)
@@ -407,7 +419,7 @@ class TestSolveIsOneRow:
               else Point2(focus_mm[0] * MM, focus_mm[1] * MM))
         sol = solve(scn.medium, p0, pN, scn.solver)
         sub = scn.medium.truncated(scn.medium.layer_of(pN))
-        xs, tof, iterations, rejected, shot = solve_rows(
+        xs, tof, iterations, rejected, shot, _ = solve_rows(
             sub, _ends(p0, pN), scn.solver)
         assert sol.method == method
         assert rejected[0] == (method == "hybrid")
@@ -415,6 +427,28 @@ class TestSolveIsOneRow:
         assert sol.xs == tuple(xs[:, 0].tolist())
         assert sol.tof == tof[0]
         assert sol.iterations == iterations[0]
+
+    @pytest.mark.parametrize("name, focus_mm, calls", [
+        ("setting3", None, 1),
+        ("oscillating", (38.0, 48.0), 3),
+        ("oscillating", (41.0, 55.0), 3),
+    ])
+    def test_each_crossing_set_is_verified_once(self, monkeypatch, name,
+                                                focus_mm, calls):
+        # A Newton row is verified once and built from that record; a hybrid
+        # row adds the polish and the crossings it keeps.
+        scn = load(name)
+        pN = (scn.foci[0] if focus_mm is None
+              else Point2(focus_mm[0] * MM, focus_mm[1] * MM))
+        real, seen = goatsolve._verify_rows, []
+
+        def counting(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(goatsolve, "_verify_rows", counting)
+        solve(scn.medium, scn.sources[0], pN, scn.solver)
+        assert len(seen) == calls
 
     def test_total_reflection_default_pair_raises(self):
         scn = load("total_reflection")

@@ -142,7 +142,7 @@ def test_unverified_rows_are_nan(dx, dz):
     x = np.array([TOTAL_REFLECTION_FOCUS.x, TOTAL_REFLECTION_FOCUS.x + dx])
     z = np.array([TOTAL_REFLECTION_FOCUS.z, TOTAL_REFLECTION_FOCUS.z + dz])
     ends = np.column_stack((np.full((2, 2), (src.x, src.z)), x, z))
-    _, tof, _, rejected, _ = solve_rows(med, ends.T)
+    _, tof, _, rejected, _, _ = solve_rows(med, ends.T)
     assert rejected[0]
     assert np.array_equal(np.isnan(tof), rejected)
     got = tof_batch(med, src, x, z)
@@ -192,7 +192,7 @@ def test_rows_are_independent(name, seed):
     ends = np.column_stack((np.full((tx.size, 2), (src.x, src.z)), tx, tz))
 
     def tof_rejected(rows):
-        _, tof, _, rejected, _ = solve_rows(med, ends[rows].T)
+        _, tof, _, rejected, _, _ = solve_rows(med, ends[rows].T)
         return tof, rejected
 
     tof, rej = tof_rejected(slice(None))
