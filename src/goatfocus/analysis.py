@@ -260,7 +260,9 @@ def tof_level_set(medium2: Medium, p0: Point2, p2: Point2, seed: Point2,
     Integrates dz/dx of the iso-ToF condition with a fixed-step classical
     4th-order scheme in both lateral directions from the seed; a branch stops
     at the domain edges, within 1e-6 m of either endpoint, or where the curve
-    tangent turns vertical (degenerate denominator).
+    tangent turns vertical (degenerate denominator).  A tangent that is
+    vertical at the seed itself leaves no curve to integrate in x and raises
+    :class:`DegenerateDenominatorError`.
     """
     if medium2.num_layers != 2:
         raise ValueError("level sets require a 2-layer medium")
@@ -273,6 +275,8 @@ def tof_level_set(medium2: Medium, p0: Point2, p2: Point2, seed: Point2,
 
     def f(x, z):
         return _level_slope(c1, c2, p0, p2, x, z)
+
+    f(seed.x, seed.z)  # raises at a vertical tangent
 
     def rk4(x, z, step):
         k1 = f(x, z)

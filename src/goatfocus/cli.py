@@ -51,12 +51,14 @@ from .imaging import (
     beam_profile,
     das_beamform,
     read_channels,
-    synthesize_channels,
-    write_channels,
+    stream_channels,
     write_image_metadata,
     write_p5,
     write_profile_csv,
 )
+# Not called here since a cold beamform streams its channels; bench_trace.py
+# still wraps these two names in this module.
+from .imaging import synthesize_channels, write_channels  # noqa: F401
 from .medium import Point2
 from .scenario import Scenario, fixture_names, load, require_first_layer
 
@@ -313,13 +315,15 @@ def cmd_beamform(args) -> int:
         cut = scn.pulse.support
         t0 = max(0.0, math.floor((2.0 * float(np.nanmin(tofs)) - 2 * cut) * fs) / fs)
         duration = 2.0 * float(np.nanmax(tofs)) + 2 * cut - t0 + 16 / fs
-        channels = synthesize_channels(scn.medium, scn.array,
-                                       scn.imaging.scatterers, scn.pulse, fs,
-                                       duration, t0, scn.solver, tofs=tofs,
-                                       workers=args.threads)
-        # The float32 samples are the values the file stores, so a cold
-        # run and a run from its cache make byte-identical artifacts.
-        write_channels(channels, ch_path, provenance=scn.provenance)
+        # das_beamform reads the stream once, after its ToF maps: each block
+        # is synthesized, appended to the cache and summed in turn, and the
+        # cache appears once the last block is written.  The float32 samples
+        # are the values the file stores, so a cold run and a run from its
+        # cache make byte-identical artifacts.
+        channels = stream_channels(
+            scn.medium, scn.array, scn.imaging.scatterers, scn.pulse, fs,
+            duration, t0, scn.solver, tofs=tofs,
+        ).written_to(ch_path, scn.provenance)
     img = das_beamform(channels, scn.medium, scn.array, scn.imaging.grid,
                        args.engine, opts=scn.solver, workers=args.threads)
     image_path = f"{prefix}_{args.engine}.pgm"
@@ -354,10 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"goatfocus {__version__}")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for ToF maps, channel synthesis, "
-                             "delay-and-sum and the oracle's dynamic-program "
-                             "blocks, at least 1 (results are independent of "
-                             "this)")
+                        help="worker threads for ToF maps, delay-and-sum and "
+                             "the oracle's dynamic-program blocks, at least 1 "
+                             "(results are independent of this)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):

@@ -6,6 +6,13 @@ receives), beamformed by delay-and-sum with either the straight-ray or the
 refraction-corrected delay engine, and evaluated through lateral beam
 profiles around the targets.  Everything is deterministic: fixed evaluation
 order, no noise sources.
+
+Channel data comes in blocks of ``_SYNTH_TX_ROWS`` transmits
+(:func:`stream_channels`).  :func:`synthesize_channels` collects them into
+one :class:`ChannelDataSet`; a cold command-line beamform instead solves its
+ToF maps first, then synthesizes, writes and delay-and-sums one block at a
+time (:meth:`ChannelStream.written_to`, :func:`das_beamform`), so it never
+holds a whole set.
 """
 
 from __future__ import annotations
@@ -13,8 +20,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import closing
+from queue import Queue
+from threading import Event
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 from numpy import fft
@@ -28,8 +40,8 @@ from .medium import Constant, Medium, Point2
 DB_FLOOR = -60.0
 MIN_ENVELOPE_SAMPLES = 16  # shortest trace :func:`envelope` accepts
 _PULSE_SUPPORT_FLOOR = 1e-8  # envelope fraction treated as zero
-# Transmits per synthesis block; sizes each worker's float64 block buffer
-# and the block's indexed-add temporaries.
+# Transmits per synthesis block; sizes the float64 block buffer, the
+# block's indexed-add temporaries and the float32 blocks a stream holds.
 _SYNTH_TX_ROWS = 2
 # Lateral offsets (pixel - element) within this fraction of the pixel
 # spacing share a column of the flat-medium ToF table.
@@ -94,6 +106,61 @@ class ChannelDataSet:
     def n_samples(self) -> int:
         return self.samples.shape[2]
 
+    @property
+    def blocks(self):
+        """The whole set as one (start, block) block, as :func:`_das_sum`
+        reads a :class:`ChannelStream`."""
+        yield 0, self.samples
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether samples[i, j] == samples[j, i] for every pair, compared one
+        transmit at a time: comparing the whole set at once would allocate a
+        boolean array of its size."""
+        return all(np.array_equal(self.samples[i], self.samples[:, i])
+                   for i in range(self.n_elements))
+
+
+@dataclass(frozen=True)
+class ChannelStream:
+    """Synthesized channel data, read once, one block of transmits at a time.
+
+    ``blocks`` yields (start, block) in transmit order, block being the
+    float32 samples[start:start + len(block)] of the set ``shape``.  A
+    synthesized set is reciprocal bit for bit: a sample adds tof(tx, k) +
+    tof(rx, k) over the same scatterers in the same order either way, the
+    live elements of a scatterer are the same set for both directions, and
+    IEEE addition commutes.  So ``symmetric`` holds without a check.
+    """
+
+    blocks: Iterator[tuple[int, np.ndarray]]
+    shape: tuple[int, int, int]
+    sample_rate: float
+    t0: float = 0.0
+    omitted: tuple[tuple[int, int, str], ...] = field(default=())
+    symmetric: ClassVar[bool] = True
+
+    def written_to(self, path, provenance: str = "") -> ChannelStream:
+        """This stream, each block appended to a channel file as it is read.
+
+        The file is written as ``path + ".part"`` and replaces ``path`` only
+        after the last block, so a run that stops part-way leaves no partial
+        cache; its bytes are those :func:`write_channels` writes for the
+        collected set.
+        """
+        def blocks():
+            part = f"{path}.part"
+            try:
+                with open(part, "wb") as fh:
+                    yield from _write_blocks(fh, self.shape, self.sample_rate,
+                                             self.t0, provenance, self.blocks)
+                os.replace(part, path)
+            finally:
+                if os.path.exists(part):
+                    os.remove(part)
+
+        return replace(self, blocks=blocks())
+
 
 @dataclass(frozen=True)
 class ImageGrid:
@@ -123,24 +190,19 @@ class BeamProfile:
     roi: tuple[float, float, float, float]  # x_lo, x_hi, z_lo, z_hi
 
 
-def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
-                        pulse: Pulse, sample_rate: float, duration: float,
-                        t0: float = 0.0,
-                        opts: SolverOptions = SolverOptions(),
-                        tofs=None, workers: int = 1) -> ChannelDataSet:
-    """Noise-free channel data for unit point scatterers.
+def stream_channels(medium: Medium, array: ElementArray, scatterers,
+                    pulse: Pulse, sample_rate: float, duration: float,
+                    t0: float = 0.0,
+                    opts: SolverOptions = SolverOptions(),
+                    tofs=None) -> ChannelStream:
+    """The channel data of :func:`synthesize_channels`, synthesized one block
+    of ``_SYNTH_TX_ROWS`` transmits at a time as the stream's ``blocks`` are
+    read, so no whole set is held.
 
-    trace(tx, rx, t) = sum_k amp_k * pulse(t - tof(tx -> k) - tof(k -> rx)),
-    with both legs along refraction-corrected paths (the synthesis engine is
-    always the layered-medium one; it is the ground-truth physics here).
-    ``tofs`` takes the (element, scatterer) ToF map when the caller already
-    has it.  Failed (element, scatterer) solves contribute nothing and are
-    recorded in ``omitted``.  Transmits are synthesized in blocks of
-    ``_SYNTH_TX_ROWS``, dealt to a pool of ``workers`` threads.  Each worker
-    sums its blocks, one at a time, in one reused float64 buffer, then
-    stores the block as float32 in the returned set.  Each sample sums the
-    scatterers in order, in float64 from 0.0, so the samples are the
-    float64 sums rounded once to float32, whatever the number of workers.
+    The arguments are checked, and the ToF map solved, before the first
+    block.  Each block is summed in one reused float64 buffer, then stored
+    as float32: each sample sums the scatterers in order, in float64 from
+    0.0, and is rounded once.
     """
     scatterers = [(p, float(a)) for p, a in scatterers]
     if sample_rate <= pulse.min_sample_rate:
@@ -150,8 +212,7 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
     if tofs is None:
         sx = np.array([p.x for p, _ in scatterers])
         sz = np.array([p.z for p, _ in scatterers])
-        tofs = tof_maps(medium, array.element_positions, sx, sz, opts,
-                        workers=workers)  # (M, K)
+        tofs = tof_maps(medium, array.element_positions, sx, sz, opts)  # (M, K)
     finite = np.isfinite(tofs)
     omitted = [(int(m), int(k), "no refracted path")
                for m, k in zip(*np.nonzero(~finite))]
@@ -162,23 +223,20 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
             raise ValueError(
                 f"duration {duration:.3e} s does not cover the round trip "
                 f"plus pulse support ({t_max - t0:.3e} s)")
-    samples = np.empty((M, M, nt), dtype=np.float32)
     win = int(math.ceil(cut * sample_rate))
     steps = np.arange(-win, win + 1)
     live = [np.flatnonzero(finite[:, k]) for k in range(len(scatterers))]
-    starts = range(0, M, _SYNTH_TX_ROWS)
-    pool_size = max(1, min(workers, len(starts)))
-    bufs = np.empty((pool_size, _SYNTH_TX_ROWS, M, nt))
 
-    def run(w):
+    def blocks():
         # The (tx, rx) windows of a block of transmits, one scatterer at a
         # time: trace i, j covers samples ceil(c) - win ... floor(c) + win
         # of c = (tau - t0) * fs, clipped to the trace.  Windows of one
         # scatterer never share a sample, so one indexed add sums it.
-        flat = bufs[w].reshape(-1)  # a view: (tx - start, rx, time)
-        for start in starts[w::pool_size]:
+        buf = np.empty((_SYNTH_TX_ROWS, M, nt))
+        flat = buf.reshape(-1)  # a view: (tx - start, rx, time)
+        for start in range(0, M, _SYNTH_TX_ROWS):
             rows = min(_SYNTH_TX_ROWS, M - start)
-            bufs[w, :rows] = 0.0
+            buf[:rows] = 0.0
             for k, (_, amp) in enumerate(scatterers):
                 rx = live[k]
                 tx = rx[(start <= rx) & (rx < start + rows)]
@@ -190,11 +248,33 @@ def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
                 trace = ((tx - start)[:, None] * M + rx[None, :])[..., None] * nt
                 tt = (t0 + n / sample_rate - tau)[keep]
                 flat[(trace + n)[keep]] += amp * pulse(tt)
-            samples[start:start + rows] = bufs[w, :rows]
+            yield start, buf[:rows].astype(np.float32)
 
-    with ThreadPoolExecutor(pool_size) as pool:
-        list(pool.map(run, range(pool_size)))
-    return ChannelDataSet(samples, sample_rate, t0, tuple(omitted))
+    return ChannelStream(blocks(), (M, M, nt), sample_rate, t0,
+                         tuple(omitted))
+
+
+def synthesize_channels(medium: Medium, array: ElementArray, scatterers,
+                        pulse: Pulse, sample_rate: float, duration: float,
+                        t0: float = 0.0,
+                        opts: SolverOptions = SolverOptions(),
+                        tofs=None) -> ChannelDataSet:
+    """Noise-free channel data for unit point scatterers.
+
+    trace(tx, rx, t) = sum_k amp_k * pulse(t - tof(tx -> k) - tof(k -> rx)),
+    with both legs along refraction-corrected paths (the synthesis engine is
+    always the layered-medium one; it is the ground-truth physics here).
+    ``tofs`` takes the (element, scatterer) ToF map when the caller already
+    has it.  Failed (element, scatterer) solves contribute nothing and are
+    recorded in ``omitted``.  The blocks of :func:`stream_channels`,
+    collected into one float32 set.
+    """
+    stream = stream_channels(medium, array, scatterers, pulse, sample_rate,
+                             duration, t0, opts, tofs)
+    samples = np.empty(stream.shape, dtype=np.float32)
+    for start, block in stream.blocks:
+        samples[start:start + len(block)] = block
+    return ChannelDataSet(samples, sample_rate, t0, stream.omitted)
 
 
 def envelope(trace) -> np.ndarray:
@@ -214,15 +294,16 @@ def envelope(trace) -> np.ndarray:
     return np.abs(fft.ifft(fft.fft(trace, axis=-1) * h, axis=-1))
 
 
-def _das_sum(channels: ChannelDataSet, idx_maps,
-             workers: int = 1) -> np.ndarray:
+def _das_sum(channels, idx_maps, workers: int = 1) -> np.ndarray:
     """Delay-and-sum accumulation: for every pixel, gather each trace at the
     two-way delay with linear interpolation and sum over all pairs.
 
-    ``idx_maps`` is any sequence of M equal-length 1-D maps (a 2-D array or
-    a list of views); ``idx_maps[m]`` holds (one-way delay * sample_rate)
-    per pixel for element m.  Symmetric channel sets are folded over
-    unordered pairs.  The samples may be float32, as :func:`read_channels`
+    ``channels`` is a :class:`ChannelDataSet` or a :class:`ChannelStream`:
+    its ``blocks`` are read once, in transmit order.  ``idx_maps`` is
+    any sequence of M equal-length 1-D maps (a 2-D array or a list of
+    views); ``idx_maps[m]`` holds (one-way delay * sample_rate) per pixel
+    for element m.  Symmetric channel sets are folded over unordered pairs
+    (i, j >= i).  The samples may be float32, as :func:`read_channels`
     returns them; each pair's trace is upcast to float64, which is exact.
     The gather needs no mask: it reads two zero-padded copies of the trace,
     ``left = [0, tr[:-1], 0]`` and ``right = [0, tr[1:], 0]``, at
@@ -230,52 +311,77 @@ def _das_sum(channels: ChannelDataSet, idx_maps,
     [0, nt - 1) reads zeros.  The x2 weight of an off-diagonal pair is
     folded into its pads (doubling is exact for normal numbers).  The
     pixels are split into one contiguous slice for each of ``min(workers,
-    pixels)`` threads; every slice sums its pairs in the same order, so the
-    result does not depend on the worker count.
+    pixels)`` threads.  Every slice sums its pairs transmit-major, whatever
+    the blocks, so the result depends neither on the worker count nor on
+    the block size.  The calling thread reads the blocks and hands each to
+    every slice through a one-block queue, so a slice holds at most the
+    block it sums and the next one, and a stream makes its next block
+    while the slices sum.
     """
-    M = channels.n_elements
-    nt = channels.n_samples
-    samples = channels.samples
     base = -channels.t0 * channels.sample_rate
+    symmetric = channels.symmetric
     npix = len(idx_maps[0])
     acc = np.zeros(npix)
-    # One transmit at a time: comparing the whole set at once would allocate
-    # a boolean array of its size, enough to raise a cold beamform's peak.
-    symmetric = all(np.array_equal(samples[i], samples[:, i])
-                    for i in range(M))
-    if symmetric:
-        pairs = [(i, j, 1.0 if i == j else 2.0)
-                 for i in range(M) for j in range(i, M)]
-    else:
-        pairs = [(i, j, 1.0) for i in range(M) for j in range(M)]
 
-    def run(px):
+    def run(px, queue):
         maps, out = [m[px] for m in idx_maps], acc[px]  # views, not copies
         t, f, g = np.empty((3, out.size))
         k = np.empty(out.size, dtype=np.int64)
-        left, right = np.zeros((2, nt + 1))
-        for i, j, weight in pairs:
-            tr = samples[i, j]
-            np.multiply(tr[:-1], weight, out=left[1:-1], dtype=float)
-            np.multiply(tr[1:], weight, out=right[1:-1], dtype=float)
-            np.add(maps[i], maps[j], out=t)
-            t += base
-            np.floor(t, out=f)
-            np.copyto(k, f, casting="unsafe")
-            k += 1
-            t -= f  # the interpolation weight w
-            np.take(left, k, out=f, mode="clip")
-            np.subtract(1.0, t, out=g)
-            f *= g
-            np.take(right, k, out=g, mode="clip")
-            g *= t
-            f += g
-            out += f
+        try:
+            while (item := queue.get()) is not None:
+                start, block = item
+                M, nt = block.shape[1:]
+                left, right = np.zeros((2, nt + 1))
+                for i, row in enumerate(block, start):
+                    for j in range(i if symmetric else 0, M):
+                        weight = 2.0 if symmetric and j != i else 1.0
+                        tr = row[j]
+                        np.multiply(tr[:-1], weight, out=left[1:-1],
+                                    dtype=float)
+                        np.multiply(tr[1:], weight, out=right[1:-1],
+                                    dtype=float)
+                        np.add(maps[i], maps[j], out=t)
+                        t += base
+                        np.floor(t, out=f)
+                        np.copyto(k, f, casting="unsafe")
+                        k += 1
+                        t -= f  # the interpolation weight w
+                        np.take(left, k, out=f, mode="clip")
+                        np.subtract(1.0, t, out=g)
+                        f *= g
+                        np.take(right, k, out=g, mode="clip")
+                        g *= t
+                        f += g
+                        out += f
+        except BaseException:
+            failed.set()
+            while queue.get() is not None:  # unblock the caller, then raise
+                pass
+            raise
 
     pool_size = max(1, min(workers, npix))
     bounds = np.linspace(0, npix, pool_size + 1).astype(int)
-    with ThreadPoolExecutor(pool_size) as pool:
-        list(pool.map(run, [slice(a, b) for a, b in zip(bounds, bounds[1:])]))
+    # Each slice takes the blocks from a queue of its own, at its own pace,
+    # so the slice that shares its processor with a stream's synthesis does
+    # not hold the others back at every block.
+    queues = [Queue(1) for _ in range(pool_size)]
+    failed = Event()
+    # Closing the blocks ends a stream that stops early (its file included).
+    with closing(channels.blocks) as blocks, \
+            ThreadPoolExecutor(pool_size) as pool:
+        jobs = [pool.submit(run, slice(a, b), q)
+                for a, b, q in zip(bounds, bounds[1:], queues)]
+        try:
+            for item in blocks:
+                if failed.is_set():
+                    break
+                for q in queues:
+                    q.put(item)
+        finally:
+            for q in queues:
+                q.put(None)
+        for job in jobs:
+            job.result()
     return acc
 
 
@@ -331,7 +437,8 @@ def _shared_tof_maps(medium: Medium, sources, grid: ImageGrid,
     return base, base.reshape(len(sources), -1)
 
 
-def das_beamform(channels: ChannelDataSet, medium: Medium | None,
+def das_beamform(channels: ChannelDataSet | ChannelStream,
+                 medium: Medium | None,
                  array: ElementArray, grid: ImageGrid, engine: str,
                  scale: str = "db",
                  opts: SolverOptions = SolverOptions(),
@@ -344,9 +451,11 @@ def das_beamform(channels: ChannelDataSet, medium: Medium | None,
     applies the per-column envelope and dB compression with the peak at
     exactly 0 dB and a -60 dB display floor.  Pixels whose delays failed are
     absent: NaN in linear scale, floor value in dB, excluded from the
-    normalization.  Both engines' ToF maps come from :func:`_shared_tof_maps`.
-    ``workers`` threads share the ToF solves and the delay-and-sum; the
-    image does not depend on their number.
+    normalization.  Both engines' ToF maps come from :func:`_shared_tof_maps`,
+    solved before the first block of ``channels`` is read, so a
+    :class:`ChannelStream` synthesizes its blocks only once the maps are
+    done.  ``workers`` threads share the ToF solves and the delay-and-sum;
+    the image does not depend on their number.
     """
     nz, nx = grid.z.size, grid.x.size
     medium = engine_medium(engine, medium)
@@ -437,24 +546,35 @@ def peak_position(image: Image, roi) -> Point2:
 CHANNEL_MAGIC = b"GOATCD1\n"
 
 
+def _write_blocks(fh, shape, sample_rate, t0, provenance, blocks):
+    """Write the channel file's magic and header line to ``fh``, then yield
+    each (start, block) of ``blocks`` once its samples are appended as raw
+    little-endian float32 in (tx, rx, time) order."""
+    header = {
+        "n_tx": int(shape[0]),
+        "n_rx": int(shape[1]),
+        "n_samples": int(shape[2]),
+        "sample_rate_hz": sample_rate,
+        "t0_s": t0,
+        "dtype": "<f4",
+        "provenance": provenance,
+    }
+    fh.write(CHANNEL_MAGIC)
+    fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
+    for start, block in blocks:
+        np.ascontiguousarray(block, dtype="<f4").tofile(fh)
+        yield start, block
+
+
 def write_channels(channels: ChannelDataSet, path, provenance: str = ""):
     """Binary channel format: magic, one JSON header line, then raw
     little-endian float32 samples in (tx, rx, time) order, cast and written
     one transmit at a time."""
-    header = {
-        "n_tx": int(channels.samples.shape[0]),
-        "n_rx": int(channels.samples.shape[1]),
-        "n_samples": int(channels.samples.shape[2]),
-        "sample_rate_hz": channels.sample_rate,
-        "t0_s": channels.t0,
-        "dtype": "<f4",
-        "provenance": provenance,
-    }
     with open(path, "wb") as fh:
-        fh.write(CHANNEL_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        for slab in channels.samples:  # one transmit at a time, no full copy
-            np.ascontiguousarray(slab, dtype="<f4").tofile(fh)
+        for _ in _write_blocks(fh, channels.samples.shape,
+                               channels.sample_rate, channels.t0, provenance,
+                               enumerate(channels.samples)):
+            pass
 
 
 def read_channels(path) -> ChannelDataSet:

@@ -3,12 +3,14 @@ artifact determinism)."""
 
 import ast
 import csv
+import dataclasses
 import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib.resources import files
 from pathlib import Path
 
@@ -30,7 +32,12 @@ from goatfocus.errors import (
     ScenarioError,
     TotalReflectionError,
 )
-from goatfocus.imaging import ChannelDataSet, write_channels
+from goatfocus.imaging import (
+    ChannelDataSet,
+    read_channels,
+    synthesize_channels,
+    write_channels,
+)
 from goatfocus.scenario import fixture_names, load, loads
 
 
@@ -458,6 +465,18 @@ class TestCmdLevelset:
                            "--seed", "12,30", "--out", str(tmp_path / "c.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["12,30", "10,25"])
+    def test_vertical_tangent_at_seed_exits_4(self, capsys, tmp_path, seed):
+        # With setting1's default source and focus the level curve through
+        # these seeds is vertical there, so no curve in x leaves the seed.
+        out = tmp_path / "c.csv"
+        code, summary, err = run(capsys, "levelset", "--scenario",
+                                 "setting1", "--seed", seed, "--out", str(out))
+        assert code == 4
+        assert summary == ""
+        assert json.loads(err)["error"] == "DegenerateDenominatorError"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         # setting1's source sits at z = 5 mm, so a seed at z = 1 mm is above
         # it and no constant-ToF curve between source and focus exists.
@@ -817,7 +836,6 @@ class TestCmdBeamform:
             monkeypatch.setattr(module, name, wrapper)
 
         record(goatfocus.batch, "tof_maps")
-        record(goatfocus.cli, "synthesize_channels")
         record(goatfocus.imaging, "tof_maps")
         record(goatfocus.imaging, "_das_sum")
         code, _, _ = run(capsys, "--threads", "3", "beamform", "--scenario",
@@ -825,9 +843,62 @@ class TestCmdBeamform:
                          "--out", str(tmp_path / "bf"))
         assert code == 0
         assert seen == [("goatfocus.batch.tof_maps", 3),
-                        ("goatfocus.cli.synthesize_channels", 3),
                         ("goatfocus.imaging.tof_maps", 3),
                         ("goatfocus.imaging._das_sum", 3)]
+
+    def test_cold_run_holds_no_channel_set(self, capsys, tmp_path):
+        # proxon's float32 channel set is 64 x 64 x 4563 samples, 74.8 MB.
+        # A cold run synthesizes, writes and sums it one block at a time,
+        # after its ToF maps, so the traced peak stays below the set.
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "--threads", "2", "beamform",
+                             "--scenario", "proxon", "--engine", "goat",
+                             "--out", str(tmp_path / "bf"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        cube = 64 * 64 * 4563 * 4
+        assert os.path.getsize(tmp_path / "bf_channels.goatcd") > cube
+        assert peak < cube
+
+    def test_failed_stream_leaves_no_cache(self, capsys, tmp_path,
+                                           monkeypatch):
+        # A cold run that fails in its third block writes no channel file,
+        # partial or whole, and the rerun writes the collected set's bytes.
+        real = cli.stream_channels
+
+        def failing(*args, **kwargs):
+            stream = real(*args, **kwargs)
+
+            def blocks():
+                for n, block in enumerate(stream.blocks):
+                    if n == 2:
+                        raise OSError("no space left on device")
+                    yield block
+
+            return dataclasses.replace(stream, blocks=blocks())
+
+        monkeypatch.setattr(cli, "stream_channels", failing)
+        argv = ("beamform", "--scenario", "homogeneous", "--engine", "goat",
+                "--out", str(tmp_path / "bf"))
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert json.loads(err)["error"] == "OSError"
+        assert os.listdir(tmp_path) == []
+        monkeypatch.setattr(cli, "stream_channels", real)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        cached = tmp_path / "bf_channels.goatcd"
+        scn = load("homogeneous")
+        back = read_channels(cached)
+        fs = scn.imaging.sample_rate
+        want = synthesize_channels(scn.medium, scn.array,
+                                   scn.imaging.scatterers, scn.pulse, fs,
+                                   back.n_samples / fs, back.t0, scn.solver)
+        write_channels(want, tmp_path / "want.goatcd", scn.provenance)
+        assert cached.read_bytes() == (tmp_path / "want.goatcd").read_bytes()
 
     def test_metadata_and_profiles_written(self, capsys, tmp_path):
         prefix = str(tmp_path / "bf")

@@ -1,8 +1,10 @@
 """Channel synthesis, envelope extraction, DAS beamforming, beam profiles."""
 
 import math
+import os
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,14 +26,21 @@ from goatfocus.imaging import (
     peak_position,
     quantize_db_image,
     read_channels,
+    stream_channels,
     synthesize_channels,
     write_channels,
     write_p5,
 )
-from goatfocus.medium import Linear, Medium, Point2
+from goatfocus.medium import Constant, Linear, Medium, Point2
 from goatfocus.scenario import load
 
-from cases import MM, homogeneous_medium, proxon_medium
+from cases import (
+    CENTER_X,
+    MM,
+    homogeneous_medium,
+    proxon_medium,
+    setting2_medium,
+)
 
 US = 1e-6
 FS = 100e6
@@ -189,36 +198,57 @@ class TestSynthesizeChannels:
         # The float64 sums, rounded once to the float32 the set holds.
         want = masked_synthesis(tofs, amps, PULSE, FS, nt, t0).astype(
             np.float32)
-        # Default blocks, one worker reusing its buffer for each, then
-        # blocks of 4 (the second one short) on three workers.
-        for workers, tx_rows in ((1, imaging._SYNTH_TX_ROWS), (3, 4)):
+        # Default blocks, one buffer reused for each, then blocks of 4 (the
+        # second one short).
+        for tx_rows in (imaging._SYNTH_TX_ROWS, 4):
             monkeypatch.setattr(imaging, "_SYNTH_TX_ROWS", tx_rows)
             ch = synthesize_channels(homogeneous_medium(), arr, scat, PULSE,
-                                     FS, duration, t0, tofs=tofs,
-                                     workers=workers)
+                                     FS, duration, t0, tofs=tofs)
             assert ch.samples.shape == want.shape
             assert np.array_equal(ch.samples, want)
             assert ch.omitted == ((2, 1, "no refracted path"),)
 
-    def test_independent_of_workers(self, monkeypatch):
-        # Blocks of 3 of 8 transmits split unevenly over more workers than
-        # cores; a short switch interval interleaves them as often as
-        # possible.
+    def test_independent_of_block_size(self, monkeypatch):
+        # Blocks of 1, 3 (the last one short) and 8 of 8 transmits through
+        # a refracting medium.
         arr = linear_array(8, 1.0 * MM)
         scat = [(Point2(x * MM, z * MM), a) for x, z, a in
                 ((0.0, 12.0, 1.0), (-2.0, 20.0, 0.6), (3.0, 25.0, -0.8))]
-        monkeypatch.setattr(imaging, "_SYNTH_TX_ROWS", 3)
         ref = synthesize_channels(proxon_medium(), arr, scat, PULSE, FS,
-                                  60 * US, workers=1)
-        switch = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for n in (2, 5):
-                ch = synthesize_channels(proxon_medium(), arr, scat, PULSE,
-                                         FS, 60 * US, workers=n)
-                assert np.array_equal(ch.samples, ref.samples)
-        finally:
-            sys.setswitchinterval(switch)
+                                  60 * US)
+        for tx_rows in (1, 3, 8):
+            monkeypatch.setattr(imaging, "_SYNTH_TX_ROWS", tx_rows)
+            ch = synthesize_channels(proxon_medium(), arr, scat, PULSE, FS,
+                                     60 * US)
+            assert np.array_equal(ch.samples, ref.samples)
+
+    @pytest.mark.parametrize("medium, array, scatterers, omitted", [
+        pytest.param(proxon_medium(), linear_array(8, 1.0 * MM),
+                     [(Point2(-2 * MM, 12 * MM), 1.0),
+                      (Point2(3 * MM, 25 * MM), -0.8)], set(), id="proxon"),
+        pytest.param(setting2_medium(), linear_array(8, 2.0 * MM, CENTER_X),
+                     [(Point2(10 * MM, 72 * MM), 1.0),
+                      (Point2(25 * MM, 80 * MM), 0.6)], set(), id="ellipse"),
+        # Element 0 (x = 0) reaches neither scatterer: the domain starts
+        # at 28 mm, so every crossing it may use is past the critical angle.
+        pytest.param(Medium((1480.0, 2200.0),
+                            (Constant(30 * MM, (28 * MM, 50 * MM)),),
+                            (28 * MM, 50 * MM)),
+                     linear_array(8, 4.0 * MM, 14 * MM),
+                     [(Point2(40 * MM, 32 * MM), 1.0),
+                      (Point2(33 * MM, 31 * MM), 0.7)], {(0, 0), (0, 1)},
+                     id="omitted"),
+    ])
+    def test_reciprocal_bit_for_bit(self, medium, array, scatterers, omitted):
+        # A cold beamform sums the stream's pairs folded, with no check:
+        # each sample adds tof(tx, k) + tof(rx, k) over the same scatterers
+        # either way, and IEEE addition commutes.
+        ch = synthesize_channels(medium, array, scatterers, PULSE, FS,
+                                 120 * US)
+        assert {(m, k) for m, k, _ in ch.omitted} == omitted
+        assert np.any(ch.samples != 0.0)
+        assert np.array_equal(ch.samples, ch.samples.swapaxes(0, 1))
+        assert ch.symmetric
 
     def test_memory_bounded_on_proxon(self):
         # The whole float64 cube alone was twice the float32 output here.
@@ -235,14 +265,15 @@ class TestSynthesizeChannels:
         try:
             ch = synthesize_channels(scn.medium, scn.array,
                                      scn.imaging.scatterers, scn.pulse, fs,
-                                     duration, t0, tofs=tofs, workers=2)
+                                     duration, t0, tofs=tofs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         out = M * M * nt * 4  # 74.8 MB
-        buffers = 2 * imaging._SYNTH_TX_ROWS * M * nt * 8  # 9.3 MB
-        # Each worker's per-scatterer index and pulse temporaries, about
-        # 1.5 MB at 2 transmits x 64 receivers x 153 window samples.
+        # The float64 block buffer and one float32 block: 7.0 MB.
+        buffers = imaging._SYNTH_TX_ROWS * M * nt * (8 + 4)
+        # The per-scatterer index and pulse temporaries, about 1.5 MB at
+        # 2 transmits x 64 receivers x 153 window samples.
         slack = 4e6
         assert peak < out + buffers + slack
         assert ch.samples.dtype == np.float32
@@ -468,6 +499,35 @@ class TestDasGather:
         idx = self.delays(rng, 3)
         assert np.array_equal(_das_sum(ch, idx), masked_das_sum(ch, idx))
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_blocks_match_whole_set(self, rng, symmetric):
+        # A stream's blocks of 1, 2 and 3 transmits (the last one short) on
+        # one to three workers, against the whole set read as one block; a
+        # short switch interval interleaves the slices and the reader.
+        M = 5
+        raw = rng.standard_normal((M, M, self.NT))
+        if symmetric:
+            raw = raw + raw.swapaxes(0, 1)
+        ch = ChannelDataSet(raw.astype(np.float32), FS, t0=0.37 / FS)
+        assert ch.symmetric == symmetric
+        idx = self.delays(rng, M)
+        want = _das_sum(ch, idx)
+        assert np.array_equal(want, masked_das_sum(ch, idx))
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for rows in (1, 2, 3):
+                for n_workers in (1, 2, 3):
+                    blocks = ((s, ch.samples[s:s + rows])
+                              for s in range(0, M, rows))
+                    stream = SimpleNamespace(blocks=blocks, t0=ch.t0,
+                                             symmetric=symmetric,
+                                             sample_rate=FS)
+                    got = _das_sum(stream, idx, workers=n_workers)
+                    assert got.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(switch)
+
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_list_of_views_matches_stacked_array(self, rng, n_workers):
         # Overlapping x-major views of one table, as the flat-medium ToF
@@ -567,6 +627,29 @@ class TestFileFormats:
         write_channels(ch, first, provenance="test")
         write_channels(read_channels(first), second, provenance="test")
         assert first.read_bytes() == second.read_bytes()
+
+    def test_written_stream_matches_written_set(self, tmp_path):
+        med, arr, scat = small_homog_setup()
+        args = (med, arr, scat, PULSE, FS, 60 * US, 1e-6)
+        write_channels(synthesize_channels(*args), tmp_path / "set.goatcd",
+                       provenance="test")
+        stream = stream_channels(*args).written_to(tmp_path / "s.goatcd",
+                                                   "test")
+        for _ in stream.blocks:
+            assert not (tmp_path / "s.goatcd").exists()
+        assert ((tmp_path / "s.goatcd").read_bytes()
+                == (tmp_path / "set.goatcd").read_bytes())
+        assert sorted(os.listdir(tmp_path)) == ["s.goatcd", "set.goatcd"]
+
+    def test_stream_stopped_by_its_reader_leaves_no_file(self, tmp_path):
+        # Maps for 5 of the 8 elements: the delay-and-sum fails on the first
+        # block while the second is being written.
+        med, arr, scat = small_homog_setup()
+        stream = stream_channels(med, arr, scat, PULSE, FS, 60 * US)
+        stream = stream.written_to(tmp_path / "ch.goatcd", "test")
+        with pytest.raises(IndexError):
+            _das_sum(stream, np.zeros((5, 10)), workers=2)
+        assert os.listdir(tmp_path) == []
 
     def test_p5_layout(self, tmp_path):
         grid = ImageGrid.from_extent(0.0, 3 * MM, 0.0, 2 * MM, 1 * MM)
