@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -242,7 +243,9 @@ _LEVEL_SLOPE_MAX = 10.0
 def _level_slope(c1, c2, p0, p2, x, z):
     L_in, L_out, _, _, num, den = _stationarity_terms(c1, c2, p0, x, z, p2)
     if min(L_in, L_out) < 1e-6:
-        return None
+        # Both terms of den shrink with the segment: the same condition.
+        raise DegenerateDenominatorError(
+            "level-set point within 1e-6 m of an endpoint")
     if abs(den) * _LEVEL_SLOPE_MAX <= abs(num) or den == 0.0:
         raise DegenerateDenominatorError("level-set tangent is (near) vertical")
     return num / den
@@ -258,10 +261,11 @@ def tof_level_set(medium2: Medium, p0: Point2, p2: Point2, seed: Point2,
     """Constant-travel-time curve through ``seed`` for a 2-layer medium.
 
     Integrates dz/dx of the iso-ToF condition with a fixed-step classical
-    4th-order scheme in both lateral directions from the seed; a branch stops
-    at the domain edges, within 1e-6 m of either endpoint, or where the curve
-    tangent turns vertical (degenerate denominator).  A tangent that is
-    vertical at the seed itself leaves no curve to integrate in x and raises
+    4th-order scheme in both lateral directions from the seed.  A branch
+    stops at the domain edges, within 1e-6 m of either endpoint, or where
+    the curve tangent turns vertical; it keeps the points of its completed
+    steps.  A seed within 1e-6 m of an endpoint, or where the tangent is
+    already vertical, leaves no curve to integrate in x and raises
     :class:`DegenerateDenominatorError`.
     """
     if medium2.num_layers != 2:
@@ -272,65 +276,37 @@ def tof_level_set(medium2: Medium, p0: Point2, p2: Point2, seed: Point2,
     lo, hi = medium2.domain
     h = (hi - lo) / arc_steps
     tof_value = tof_two_segment(medium2, p0, p2, seed)
-
-    def f(x, z):
-        return _level_slope(c1, c2, p0, p2, x, z)
-
-    f(seed.x, seed.z)  # raises at a vertical tangent
-
-    def rk4(x, z, step):
-        k1 = f(x, z)
-        if k1 is None:
-            return None
-        k2 = f(x + 0.5 * step, z + 0.5 * step * k1)
-        k3 = f(x + 0.5 * step, z + 0.5 * step * k2)
-        k4 = f(x + step, z + step * k3)
-        if None in (k2, k3, k4):
-            return None
-        return z + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    def integrate(direction):
-        pts = []
+    slope = partial(_level_slope, c1, c2, p0, p2)
+    slope(seed.x, seed.z)  # raises at an endpoint or a vertical tangent
+    left, right = [], []
+    for pts, step in ((left, -h), (right, h)):
         x, z = seed.x, seed.z
-        step = h * direction
-        for _ in range(arc_steps):
-            xn = x + step
-            if not (lo <= xn <= hi):
-                break
-            try:
+        # _level_slope raising ends the branch mid-step.
+        with suppress(DegenerateDenominatorError):
+            for _ in range(arc_steps):
+                xn = x + step
+                if not (lo <= xn <= hi):
+                    break
                 # Sub-divide the fixed output step where the curve steepens
                 # (bounded vertical motion per sub-step), so accuracy holds
                 # right up to the vertical-tangent cutoff.
-                zs = z
                 done = 0.0
-                ok = True
                 while abs(done) < abs(step) - 1e-30:
-                    m = f(x + done, zs)
-                    if m is None:
-                        ok = False
-                        break
-                    n = min(1024.0, math.ceil(4.0 * (1.0 + abs(m))))
+                    xd = x + done
+                    k1 = slope(xd, z)
+                    n = min(1024.0, math.ceil(4.0 * (1.0 + abs(k1))))
                     dt = math.copysign(min(abs(step) / n, abs(step) - abs(done)),
                                        step)
-                    zs = rk4(x + done, zs, dt)
-                    if zs is None:
-                        ok = False
-                        break
+                    k2 = slope(xd + 0.5 * dt, z + 0.5 * dt * k1)
+                    k3 = slope(xd + 0.5 * dt, z + 0.5 * dt * k2)
+                    k4 = slope(xd + dt, z + dt * k3)
+                    z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                     done += dt
-                if not ok:
+                x = xn
+                p = Point2(x, z)
+                if p.dist(p0) < 1e-6 or p.dist(p2) < 1e-6:
                     break
-            except DegenerateDenominatorError:
-                break
-            z = zs
-            x = xn
-            p = Point2(x, z)
-            if p.dist(p0) < 1e-6 or p.dist(p2) < 1e-6:
-                break
-            pts.append(p)
-        return pts
-
-    left = integrate(-1.0)
-    right = integrate(+1.0)
+                pts.append(p)
     points = tuple(left[::-1] + [seed] + right)
     return LevelSetCurve(points, tof_value, seed)
 

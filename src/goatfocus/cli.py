@@ -56,9 +56,6 @@ from .imaging import (
     write_p5,
     write_profile_csv,
 )
-# Not called here since a cold beamform streams its channels; bench_trace.py
-# still wraps these two names in this module.
-from .imaging import synthesize_channels, write_channels  # noqa: F401
 from .medium import Point2
 from .scenario import Scenario, fixture_names, load, require_first_layer
 

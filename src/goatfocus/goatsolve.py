@@ -325,6 +325,17 @@ def _build(medium, p0, pN, xs, record, iterations, method, opts,
                         iterations, rnorm, method, multiple_roots)
 
 
+def _straight(medium: Medium, p0: Point2, pN: Point2,
+              method: str) -> GoatSolution:
+    """The single-layer ray to a focus inside the first layer."""
+    seg = p0.dist(pN)
+    if seg < MIN_SEGMENT:
+        raise DegenerateSegmentError("source and focus coincide")
+    tof = seg / medium.speeds[0]
+    path = RayPath((p0, pN), (), (), (), (tof,), tof)
+    return GoatSolution((), path, tof, 0, 0.0, method)
+
+
 def solve_newton(medium: Medium, p0: Point2, pN: Point2,
                  opts: SolverOptions = SolverOptions()) -> GoatSolution:
     """Damped Newton on the reduced Snell residuals.
@@ -332,10 +343,13 @@ def solve_newton(medium: Medium, p0: Point2, pN: Point2,
     Starts from the straight-ray crossings on the stack down to pN's layer;
     each step is halved while the residual norm fails to decrease or a
     crossing would leave the lateral domain.  Raises NonConvergenceError
-    carrying the best iterate.
+    carrying the best iterate.  A focus inside the first layer gets the
+    straight single-layer ray.
     """
     layer = medium.layer_of(pN)
-    medium = medium.truncated(layer) if layer > 1 else medium
+    if layer == 1:
+        return _straight(medium, p0, pN, "newton")
+    medium = medium.truncated(layer)
     ends = _ends(p0, pN)
     xs = initial_guess_straight(medium, p0, pN)[:, None]
     xs, iterations = _newton_rows(medium, ends, xs, opts)
@@ -494,10 +508,13 @@ def solve_shooting(medium: Medium, p0: Point2, pN: Point2,
 
     Raises NoBracketError, with the scan's lost-ray causes, when no root is
     found; if several roots exist the minimal-ToF one is returned and
-    flagged.
+    flagged.  A focus inside the first layer gets the straight single-layer
+    ray.
     """
     layer = medium.layer_of(pN)
-    medium = medium.truncated(layer) if layer > 1 else medium
+    if layer == 1:
+        return _straight(medium, p0, pN, "shooting")
+    medium = medium.truncated(layer)
     ends = _ends(p0, pN)
     xs, evals, multiple, causes = _shoot_rows(medium, ends)
     if np.isnan(xs[0, 0]):
@@ -513,7 +530,8 @@ def solve_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
     from the straight chords, then, for the rows it rejects,
     :func:`_shoot_rows` and a row Newton polish of the shot crossings.  Each
     set is verified once by :func:`_verify_rows`; a rejected row keeps the
-    polished crossings if they pass every check, else the shot ones.
+    polished crossings if they pass every check, else the shot ones, which
+    are verified only then.
 
     Returns (xs, tof, iterations, rejected, shot, record): the kept
     crossings (K, rows) and times of flight, NaN where a check fails; the
@@ -531,10 +549,15 @@ def solve_rows(medium: Medium, ends, opts: SolverOptions = SolverOptions()):
         e = ends[:, r]
         shot = _shoot_rows(medium, e)
         polished, polish_its = _newton_rows(medium, e, shot[0], opts)
-        ok_pol = ~np.any(_verify_rows(medium, e, polished, opts.tol_residual)[0], axis=0)
-        xs[:, r] = np.where(ok_pol, polished, shot[0])
-        for a, b in zip(record, _verify_rows(medium, e, xs[:, r], opts.tol_residual)):
+        for a, b in zip(record, _verify_rows(medium, e, polished, opts.tol_residual)):
             a[..., r] = b
+        ok_pol = ~np.any(record[0][:, r], axis=0)
+        xs[:, r] = np.where(ok_pol, polished, shot[0])
+        q = r[~ok_pol]  # the rows that keep their shot crossings
+        if q.size:
+            for a, b in zip(record, _verify_rows(medium, ends[:, q], xs[:, q],
+                                                 opts.tol_residual)):
+                a[..., q] = b
         iterations[r] = shot[1] + np.where(ok_pol, polish_its, 0)
     tof = np.where(np.any(record[0], axis=0), np.nan, record[-1])
     return xs, tof, iterations, rejected, shot, record
@@ -553,12 +576,7 @@ def solve(medium: Medium, p0: Point2, pN: Point2,
     """
     layer = medium.layer_of(pN)
     if layer == 1:
-        seg = p0.dist(pN)
-        if seg < MIN_SEGMENT:
-            raise DegenerateSegmentError("source and focus coincide")
-        tof = seg / medium.speeds[0]
-        path = RayPath((p0, pN), (), (), (), (tof,), tof)
-        return GoatSolution((), path, tof, 0, 0.0, "newton")
+        return _straight(medium, p0, pN, "newton")
     sub = medium.truncated(layer)
     xs, _, iterations, rejected, shot, record = solve_rows(sub, _ends(p0, pN), opts)
     if rejected[0] and np.isnan(shot[0][0, 0]):

@@ -143,17 +143,25 @@ class ChannelStream:
     def written_to(self, path, provenance: str = "") -> ChannelStream:
         """This stream, each block appended to a channel file as it is read.
 
-        The file is written as ``path + ".part"`` and replaces ``path`` only
-        after the last block, so a run that stops part-way leaves no partial
-        cache; its bytes are those :func:`write_channels` writes for the
-        collected set.
+        The file holds the magic, one JSON header line, then the samples as
+        raw little-endian float32 in (tx, rx, time) order.  It is written as
+        ``path + ".part"`` and replaces ``path`` only after the last block,
+        so a run that stops part-way leaves no partial file.
         """
+        n_tx, n_rx, n_samples = map(int, self.shape)
+        header = {"n_tx": n_tx, "n_rx": n_rx, "n_samples": n_samples,
+                  "sample_rate_hz": self.sample_rate, "t0_s": self.t0,
+                  "dtype": "<f4", "provenance": provenance}
+
         def blocks():
             part = f"{path}.part"
             try:
                 with open(part, "wb") as fh:
-                    yield from _write_blocks(fh, self.shape, self.sample_rate,
-                                             self.t0, provenance, self.blocks)
+                    fh.write(CHANNEL_MAGIC)
+                    fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
+                    for start, block in self.blocks:
+                        np.ascontiguousarray(block, dtype="<f4").tofile(fh)
+                        yield start, block
                 os.replace(part, path)
             finally:
                 if os.path.exists(part):
@@ -546,35 +554,14 @@ def peak_position(image: Image, roi) -> Point2:
 CHANNEL_MAGIC = b"GOATCD1\n"
 
 
-def _write_blocks(fh, shape, sample_rate, t0, provenance, blocks):
-    """Write the channel file's magic and header line to ``fh``, then yield
-    each (start, block) of ``blocks`` once its samples are appended as raw
-    little-endian float32 in (tx, rx, time) order."""
-    header = {
-        "n_tx": int(shape[0]),
-        "n_rx": int(shape[1]),
-        "n_samples": int(shape[2]),
-        "sample_rate_hz": sample_rate,
-        "t0_s": t0,
-        "dtype": "<f4",
-        "provenance": provenance,
-    }
-    fh.write(CHANNEL_MAGIC)
-    fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-    for start, block in blocks:
-        np.ascontiguousarray(block, dtype="<f4").tofile(fh)
-        yield start, block
-
-
 def write_channels(channels: ChannelDataSet, path, provenance: str = ""):
-    """Binary channel format: magic, one JSON header line, then raw
-    little-endian float32 samples in (tx, rx, time) order, cast and written
-    one transmit at a time."""
-    with open(path, "wb") as fh:
-        for _ in _write_blocks(fh, channels.samples.shape,
-                               channels.sample_rate, channels.t0, provenance,
-                               enumerate(channels.samples)):
-            pass
+    """The set in the channel file format of
+    :meth:`ChannelStream.written_to`, its samples cast and written one
+    transmit at a time; a write that fails part-way leaves no file."""
+    stream = ChannelStream(enumerate(channels.samples), channels.samples.shape,
+                           channels.sample_rate, channels.t0)
+    for _ in stream.written_to(path, provenance).blocks:
+        pass
 
 
 def read_channels(path) -> ChannelDataSet:

@@ -30,6 +30,7 @@ from goatfocus.goatsolve import (
     tof_of_path,
 )
 from goatfocus.medium import Constant, Medium, Point2
+from goatfocus.scenario import load
 
 from cases import (
     MM,
@@ -291,6 +292,29 @@ class TestLevelSet:
             p1 = sol.path.points[1]
             level = _level_slope(med.speeds[0], med.speeds[1], p0, pN, p1.x, p1.z)
             assert abs(level - med.boundaries[0]._slope(p1.x)) <= 1e-8
+
+    def test_each_rk4_substep_evaluates_the_slope_four_times(self,
+                                                            monkeypatch):
+        # README's example at 64 steps: the stage that sizes a sub-step is
+        # also its first RK4 stage.
+        scn = load("setting1")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _level_slope(*args)
+
+        monkeypatch.setattr(analysis, "_level_slope", counting)
+        curve = tof_level_set(scn.medium, scn.sources[0], scn.foci[0],
+                              Point2(18 * MM, 30 * MM), arc_steps=64)
+        assert len(curve.points) == 35
+        assert len(calls) == 1859
+
+    def test_seed_at_an_endpoint_raises(self):
+        med = flat_two_layer()
+        p0, p2 = Point2(0, 0), Point2(10 * MM, 60 * MM)
+        with pytest.raises(DegenerateDenominatorError, match="endpoint"):
+            tof_level_set(med, p0, p2, Point2(0, 0.5e-6))
 
 
 class TestFermatOracle:

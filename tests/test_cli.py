@@ -477,6 +477,41 @@ class TestCmdLevelset:
         assert json.loads(err)["error"] == "DegenerateDenominatorError"
         assert not out.exists()
 
+    @staticmethod
+    def _flat(tmp_path):
+        """A 1540 over 1450 m/s flat medium, source (0, 0) mm and focus
+        (0, 40) mm, written to a file."""
+        doc = dict(MINIMAL, medium=_medium(
+            speeds=[1540.0, 1450.0], domain=[-30.0, 30.0]),
+            sources=[[0.0, 0.0]], foci=[[0.0, 40.0]])
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_stage_near_an_endpoint_ends_the_branch(self, capsys, tmp_path):
+        # A middle RK4 stage of this curve lands within 1e-6 m of the
+        # source: the branch ends there, keeping its completed steps.
+        out = tmp_path / "c.csv"
+        code, summary, _ = run(capsys, "levelset", "--scenario",
+                               self._flat(tmp_path), "--seed",
+                               "3.054167220337458,10", "--steps", "256",
+                               "--out", str(out))
+        assert code == 0
+        assert json.loads(summary)["points"] > 1
+        assert len(out.read_text().splitlines()) > 5
+
+    def test_seed_at_an_endpoint_exits_4(self, capsys, tmp_path):
+        out = tmp_path / "c.csv"
+        code, summary, err = run(capsys, "levelset", "--scenario",
+                                 self._flat(tmp_path), "--seed", "0,0.0005",
+                                 "--out", str(out))
+        assert code == 4
+        assert summary == ""
+        assert json.loads(err) == {
+            "error": "DegenerateDenominatorError",
+            "message": "level-set point within 1e-6 m of an endpoint"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         # setting1's source sits at z = 5 mm, so a seed at z = 1 mm is above
         # it and no constant-ToF curve between source and focus exists.

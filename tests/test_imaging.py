@@ -601,6 +601,27 @@ class TestFileFormats:
         assert np.array_equal(back.samples, samples.astype(np.float32))
         assert (back.sample_rate, back.t0) == (FS, 2e-6)
 
+    def test_failed_write_leaves_no_file(self, rng, monkeypatch, tmp_path):
+        # The second transmit's cast fails: the first is already on disk,
+        # in the partial file, which the failure removes.
+        real, casts = np.ascontiguousarray, []
+
+        def cast(*args, **kwargs):
+            casts.append(args)
+            if len(casts) > 1:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", cast)
+        path = tmp_path / "ch.goatcd"
+        with pytest.raises(OSError, match="disk full"):
+            write_channels(ChannelDataSet(rng.standard_normal((3, 3, 50)), FS),
+                           path)
+        monkeypatch.undo()
+        assert len(casts) == 2
+        assert not path.exists()
+        assert not (tmp_path / "ch.goatcd.part").exists()
+
     @pytest.mark.parametrize("edit, match", [
         (lambda raw: b"GOATCD2\n" + raw[8:], "bad magic"),
         (lambda raw: raw[:8] + b"{not json\n" + raw[raw.index(b"\n", 8):],
